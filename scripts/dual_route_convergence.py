@@ -25,7 +25,7 @@ from focklab.transforms import interior_frobenius
 def main() -> int:
     print(f"{'multiplier':14s} {'N':>3s} {'Q':>4s} {'interior distance':>18s} {'secs':>6s}")
     for m in (constant(1.0), modulation(0.7), bump()):
-        for N in (8, 10, 12):
+        for N in (8, 10, 12, 16, 20, 24):
             Q = default_mesh_order(N)
             t0 = time.perf_counter()
             sym = symbol_from_multiplier(m, quad_order=2 * Q)

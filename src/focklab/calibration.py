@@ -31,7 +31,7 @@ from .spaces import (
     sobolev_norm,
     weighted_fock_norm,
 )
-from .transforms import ladder_seminorm, translation_matrix, weyl_matrix
+from .transforms import ladder_seminorm, weyl_matrix
 
 __all__ = [
     "Calibration",
@@ -266,10 +266,5 @@ def run_calibration(seed: int = 2718, verbose: bool = False) -> tuple[dict[str, 
     comments["signum.entry01.tol"] = (
         f"|entry(0,1)| vs half-line Gaussian value {exact:.6f}: observed error "
         f"{err:.2e} at the default rule (discontinuous integrand converges slowly); 3x margin")
-
-    # --- record translation unitarity defect for reference
-    d = translation_matrix(np.array([1.0]), 32, Convention.BARGMANN_H).unitarity_defect()
-    values["translation.unitarity.N32"] = max(d * 10.0, 1e-13)
-    comments["translation.unitarity.N32"] = f"observed interior defect {d:.2e} at |a|=1, 10x margin"
 
     return values, comments

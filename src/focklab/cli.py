@@ -29,6 +29,7 @@ from .calibration import (
 from .errors import ConfigError, FockLabError
 from .multipliers import parse_multiplier
 from .operators import (
+    _strictly_increasing,
     boundedness_probe,
     classical_sobolev_probe,
     conjugated_multiplier_matrix,
@@ -248,12 +249,10 @@ def cmd_probe(args, tols) -> int:
     cfg = _make_config(args, tols)
     if not cfg.multiplier:
         _fail_config("probe needs --multiplier")
-    N_list = cfg.N_list if len(cfg.N_list) > 1 else [8, 16, 32, 64]
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        _fail_config(f"--N list must be strictly increasing, got {N_list}")
     try:
+        N_list = _strictly_increasing(cfg.N_list if len(cfg.N_list) > 1 else [8, 16, 32, 64])
         m = parse_multiplier(cfg.multiplier)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         _fail_config(str(exc))
     th = load_calibration().growth_thresholds
     reports = [boundedness_probe(m, cfg.s, N_list, th)]

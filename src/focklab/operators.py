@@ -20,6 +20,17 @@ and are compared against each other on interior blocks.
 The symbol integral is computed by factoring
 e^{-2(x-iz/2)^2} = e^{-2x^2} e^{2ixz} e^{z^2/2}, so m is only ever
 evaluated at the real scale-2 nodes; no contour deformation happens in code.
+The symbol is then phi(z) = e^{z^2/2} Sigma_q c_q e^{2i t_q z}, and in the
+kernel the cross terms cancel:
+
+    e^{z.conj(w)} phi(z - conj(w)) = Sigma_q c_q g_q(z) conj(g_q(w)),
+    g_q(z) = e^{z^2/2 + 2i t_q z}.
+
+The quadrature route therefore factors over the complex mesh as
+M = L diag(c) L^H with L[alpha, q] = Sigma_z w_z conj(e_alpha(z)) g_q(z).
+L stays a mesh quadrature of Fock monomials against plane waves; its closed
+Hermite-function form in t_q would be the conjugated route itself, so the
+two routes still share no code.
 """
 from __future__ import annotations
 
@@ -27,7 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,46 +76,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """An entire function on C^n used as the kernel symbol.
+    """The entire symbol phi(z) = e^{z^2/2} Sigma_q c_q e^{2i t_q z} on C of a
+    real-line multiplier: ``nodes`` are the real scale-2 quadrature nodes t_q
+    and ``node_coeffs`` the weights c_q (both read-only).
 
-    ``provenance`` is "from-multiplier" when built by the Gaussian transform
-    of a real-line function (then ``nodes``/``node_coeffs`` hold the
-    quadrature data and evaluation is exp(z^2/2) * Sigma_q c_q e^{2i t_q.z}),
-    or "direct" for a closed-form evaluator.
+    Evaluation warns at points with |Im z| beyond the node range: the
+    plane waves e^{2i t.z} then grow faster than the rule's reach and the
+    tails are not trustworthy.
     """
 
     label: str
-    dim: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    provenance: str = "direct"
-    nodes: np.ndarray | None = field(default=None, repr=False)
-    node_coeffs: np.ndarray | None = field(default=None, repr=False)
+    nodes: np.ndarray = field(repr=False)
+    node_coeffs: np.ndarray = field(repr=False)
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         single = z.ndim == 0
-        out = self.evaluator(np.atleast_1d(z))
+        z = np.atleast_1d(z)
+        t_max = float(np.abs(self.nodes).max())
+        if np.abs(z.imag).max(initial=0.0) > t_max:
+            warnings.warn(
+                f"symbol evaluated at |Im z| > node range {t_max:.1f}; "
+                "increase the symbol quadrature order", AccuracyWarning)
+        out = np.exp(0.5 * z * z) * (np.exp(2j * np.outer(z, self.nodes)) @ self.node_coeffs)
         return out[0] if single else out
-
-    def eval_difference_mesh(self, z: np.ndarray, wbar: np.ndarray,
-                             chunk: int = 1536) -> np.ndarray:
-        """phi(z_i - wbar_j) as an (len(z), len(wbar)) array.
-
-        For from-multiplier symbols the plane-wave factor separates across
-        the mesh, turning the evaluation into two small matrix products;
-        closed-form symbols fall back to pointwise evaluation.
-        """
-        if self.dim != 1:
-            raise NotImplementedError("mesh evaluation is one-dimensional")
-        if self.nodes is None:
-            zeta = z[:, None] - wbar[None, :]
-            return self.evaluator(zeta.ravel()).reshape(zeta.shape)
-        A = np.exp(2j * np.outer(z, self.nodes)) * self.node_coeffs
-        B = np.exp(-2j * np.outer(self.nodes, wbar))
-        out = A @ B
-        zeta = z[:, None] - wbar[None, :]
-        out *= np.exp(0.5 * zeta * zeta)
-        return out
 
     def project_fock(self, N: int, grid2n: QuadratureGrid) -> SpectralVector:
         from .transforms import project_fock
@@ -112,36 +107,15 @@ class SymbolSpec:
         return project_fock(lambda z: self(z), N, grid2n)
 
 
-def symbol_from_multiplier(m: MultiplierSpec, quad_order: int = 160,
-                           dim: int = 1) -> SymbolSpec:
-    """Symbol phi(z) = (2/pi)^{n/2} Int m(x) e^{-2(x-iz/2)^2} dx by scale-2
-    quadrature, evaluable anywhere in C^n.
-
-    A slow-decay warning fires when evaluation points have |Im z| beyond the
-    node range: the factored plane waves e^{2i t.z} then grow faster than the
-    rule's reach and the tails are not trustworthy.
-    """
-    if dim != 1:
-        raise NotImplementedError("symbols from multipliers are one-dimensional here")
+def symbol_from_multiplier(m: MultiplierSpec, quad_order: int = 160) -> SymbolSpec:
+    """Symbol phi(z) = (2/pi)^{1/2} Int m(x) e^{-2(x-iz/2)^2} dx by scale-2
+    quadrature, evaluable anywhere in C."""
     g2 = gauss_hermite(quad_order, 2.0, 1)
-    t = g2.nodes[:, 0]
-    cq = (2.0 / math.pi) ** 0.5 * g2.weights * m(t)
-    t_max = float(np.abs(t).max())
-
-    def ev(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if np.abs(z.imag).max(initial=0.0) > t_max:
-            warnings.warn(
-                f"symbol evaluated at |Im z| > node range {t_max:.1f}; "
-                "increase the symbol quadrature order", AccuracyWarning)
-        return np.exp(0.5 * z * z) * (np.exp(2j * np.outer(z, t)) @ cq)
-
-    t_ro = t.copy()
-    cq_ro = np.asarray(cq, dtype=complex).copy()
-    t_ro.setflags(write=False)
-    cq_ro.setflags(write=False)
-    return SymbolSpec(label=f"symbol[{m.label}]", dim=1, evaluator=ev,
-                      provenance="from-multiplier", nodes=t_ro, node_coeffs=cq_ro)
+    t = g2.nodes[:, 0].copy()
+    cq = np.asarray((2.0 / math.pi) ** 0.5 * g2.weights * m(t), dtype=complex)
+    t.setflags(write=False)
+    cq.setflags(write=False)
+    return SymbolSpec(label=f"symbol[{m.label}]", nodes=t, node_coeffs=cq)
 
 
 @lru_cache(maxsize=8)
@@ -170,8 +144,6 @@ def multiplier_from_symbol(sym: SymbolSpec, quad_order: int = 256,
     amplification warning reports the validated |x| range (where amplified
     noise stays below 1e-6).
     """
-    if sym.dim != 1:
-        raise NotImplementedError("symbol inversion is one-dimensional")
     g = gauss_hermite(quad_order, 0.5, 1)
     keep = np.abs(g.nodes[:, 0]) <= slice_cut
     u = g.nodes[keep, 0]
@@ -244,30 +216,22 @@ def default_mesh_order(N: int) -> int:
 
 
 def integral_operator_matrix(sym: SymbolSpec, N: int,
-                             grid2n: QuadratureGrid | None = None,
-                             chunk: int = 1536) -> OperatorMatrix:
-    """Entries <S e_beta, e_alpha> by direct quadrature over the complex mesh
-    (the same rule integrates the w-side operator and the z-side pairing).
+                             grid2n: QuadratureGrid | None = None) -> OperatorMatrix:
+    """Entries <S e_beta, e_alpha> by quadrature over the complex mesh (the
+    same rule integrates the w-side operator and the z-side pairing).
 
-    This is the quadrature route; it shares nothing with the conjugated
-    multiplier construction and is O(order^4) work, vectorized in chunks.
+    The kernel separates into the symbol's plane waves, so the double mesh
+    sum is M = L diag(c) L^H with L = conj(E) (w_z e^{z^2/2 + 2i t_q z}): one
+    (count x order^2) by (order^2 x q) product.  This is the quadrature
+    route; it shares nothing with the conjugated multiplier construction.
     """
     if grid2n is None:
         grid2n = gauss_hermite(default_mesh_order(N), 1.0, 2)
     z, wts = _complex_mesh(grid2n)
-    wbar = np.conj(z)
     E = basis_table(1, N, z, Convention.FOCK)
-    count = E.shape[0]
-    M = np.zeros((count, count), dtype=complex)
-    for lo in range(0, len(z), chunk):
-        hi = min(lo + chunk, len(z))
-        zc = z[lo:hi]
-        K = sym.eval_difference_mesh(zc, wbar)
-        K *= np.exp(np.outer(zc, wbar))
-        K *= wts[None, :]
-        S = K @ E.T                       # images of e_beta at the z-chunk
-        M += (np.conj(E[:, lo:hi]) * wts[lo:hi]) @ S
-    return OperatorMatrix(N, 1, M, Convention.FOCK)
+    G = np.exp(0.5 * (z * z)[:, None] + 2j * np.outer(z, sym.nodes))
+    L = (np.conj(E) * wts) @ G
+    return OperatorMatrix(N, 1, (L * sym.node_coeffs) @ L.conj().T, Convention.FOCK)
 
 
 def multiplier_matrix(m: MultiplierSpec, N: int,
@@ -374,6 +338,13 @@ def classify_growth(values: Sequence[float], thresholds: GrowthThresholds) -> st
     return "inconclusive"
 
 
+def _strictly_increasing(N_list: Sequence[int]) -> tuple[int, ...]:
+    N_list = tuple(N_list)
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError(f"truncation list must be strictly increasing, got {list(N_list)}")
+    return N_list
+
+
 def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
                       thresholds: GrowthThresholds,
                       norm_seed: int = 1234) -> GrowthReport:
@@ -383,9 +354,7 @@ def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     The classification is heuristic evidence about multiplier membership,
     not a proof; the norm sequences themselves are the primary output.
     """
-    N_list = tuple(N_list)
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValueError("truncation list must be strictly increasing")
+    N_list = _strictly_increasing(N_list)
     vals = tuple(operator_norm(conjugated_multiplier_matrix(m, N), s, seed=norm_seed)
                  for N in N_list)
     return GrowthReport(m.label, "hermite", s, N_list, vals,
@@ -459,9 +428,7 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     entries the contrast is designed for (constant, bump, chirp43) are
     seam-continuous, so their growth reflects real-line behaviour.
     """
-    N_list = tuple(N_list)
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValueError("truncation list must be strictly increasing")
+    N_list = _strictly_increasing(N_list)
     vals = tuple(_classical_norm(m, s, N, points_per_N, tol, max_iter, seed)
                  for N in N_list)
     return GrowthReport(m.label, "classical", s, N_list, vals,

@@ -57,9 +57,6 @@ __all__ = [
     "ladder_seminorm",
 ]
 
-_CONVENTION_CODES = {Convention.PAPER_H: 0, Convention.BARGMANN_H: 1, Convention.FOCK: 2}
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense matrix of an operator in the truncated graded basis.

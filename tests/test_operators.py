@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focklab.calibration import load_calibration
-from focklab.errors import GridMismatchError
+from focklab.errors import AccuracyWarning, GridMismatchError
 from focklab.hermite import (
     Convention,
+    SpectralVector,
+    basis_table,
     gauss_hermite,
     index_count,
     random_vector,
@@ -144,6 +147,34 @@ class TestIntegralOperator:
         B = conjugated_multiplier_matrix(bump(), N)
         assert interior_frobenius(A.entries, B.entries, 1, N) <= 1e-5
 
+    @pytest.mark.parametrize("m", [bump(), modulation(0.7)], ids=lambda m: m.label)
+    def test_matrix_matches_literal_quadrature(self, m):
+        # the factored matrix against the literal double mesh sum: S e_beta by
+        # apply_integral_operator at every node, paired with conj(e_alpha) w
+        N, Q = 4, 16
+        g = gauss_hermite(Q, 1.0, 2)
+        sym = symbol_from_multiplier(m, quad_order=2 * Q)
+        A = integral_operator_matrix(sym, N, g)
+        z = g.nodes[:, 0] + 1j * g.nodes[:, 1]
+        E = basis_table(1, N, z, Convention.FOCK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            S = np.stack([apply_integral_operator(sym, SpectralVector(1, N, Convention.FOCK, e),
+                                                  z, g)
+                          for e in np.eye(N + 1, dtype=complex)], axis=1)
+        M = (np.conj(E) * (g.weights / math.pi)) @ S
+        assert np.abs(A.entries - M).max() <= 1e-12 * np.abs(M).max()
+
+    def test_dual_route_at_top_mesh_order(self):
+        N = 17
+        Q = default_mesh_order(N)
+        assert Q == 128
+        sym = symbol_from_multiplier(bump(), quad_order=2 * Q)
+        A = integral_operator_matrix(sym, N, gauss_hermite(Q, 1.0, 2))
+        assert np.isfinite(A.entries).all()
+        B = conjugated_multiplier_matrix(bump(), N)
+        assert interior_frobenius(A.entries, B.entries, 1, N) <= 1e-5
+
 
 class TestMultiplierMatrix:
     def test_unit_multiplier_identity(self):
@@ -254,9 +285,10 @@ class TestProbes:
         r = classical_sobolev_probe(bump(), 1.0, (8, 16, 32), thresholds)
         assert r.classification == "stable"
 
-    def test_increasing_N_required(self, thresholds):
-        with pytest.raises(ValueError):
-            boundedness_probe(constant(1.0), 1.0, (16, 8), thresholds)
+    @pytest.mark.parametrize("probe", [boundedness_probe, classical_sobolev_probe])
+    def test_increasing_N_required(self, probe, thresholds):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            probe(constant(1.0), 1.0, (16, 8), thresholds)
 
     def test_classification_rule(self):
         th = GrowthThresholds(G=1.2, S=1.1)
