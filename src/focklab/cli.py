@@ -222,7 +222,7 @@ def cmd_symbol(args, tols) -> int:
         _fail_config("symbol needs --multiplier")
     try:
         m = parse_multiplier(cfg.multiplier)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         _fail_config(str(exc))
     sym = symbol_from_multiplier(m, quad_order=cfg.quad_order or 160)
     re = _parse_range(args.z_re)

@@ -91,15 +91,15 @@ class SymbolSpec:
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        single = z.ndim == 0
-        z = np.atleast_1d(z)
+        flat = z.ravel()
         t_max = float(np.abs(self.nodes).max())
-        if np.abs(z.imag).max(initial=0.0) > t_max:
+        if np.abs(flat.imag).max(initial=0.0) > t_max:
             warnings.warn(
                 f"symbol evaluated at |Im z| > node range {t_max:.1f}; "
                 "increase the symbol quadrature order", AccuracyWarning)
-        out = np.exp(0.5 * z * z) * (np.exp(2j * np.outer(z, self.nodes)) @ self.node_coeffs)
-        return out[0] if single else out
+        waves = np.exp(2j * np.outer(flat, self.nodes))
+        out = np.exp(0.5 * flat * flat) * (waves @ self.node_coeffs)
+        return out[0] if z.ndim == 0 else out.reshape(z.shape)
 
     def project_fock(self, N: int, grid2n: QuadratureGrid) -> SpectralVector:
         from .transforms import project_fock

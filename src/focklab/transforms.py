@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import eval_genlaguerre, gammaln, xlogy
 
 from .errors import AccuracyWarning, CalibrationError, GridMismatchError
 from .hermite import (
@@ -280,14 +281,8 @@ def translation_matrix(a, N: int, convention: Convention = Convention.BARGMANN_H
         raise ValueError("translation acts on the real-line systems")
     av = np.atleast_1d(np.asarray(a, dtype=float))
     n = av.size
-    axes = [_translation_axis(float(av[j]), N, convention, grid_order) for j in range(n)]
-    if n == 1:
-        ent = axes[0]
-    else:
-        alpha = index_array(n, N)
-        ent = axes[0][np.ix_(alpha[:, 0], alpha[:, 0])]
-        for j in range(1, n):
-            ent = ent * axes[j][np.ix_(alpha[:, j], alpha[:, j])]
+    ent = _tensor_assemble([_translation_axis(float(x), N, convention, grid_order)
+                            for x in av], N)
     M = OperatorMatrix(N, n, ent, convention, unitary_expected=True)
     d = M.unitarity_defect()
     if d > defect_warn:
@@ -298,34 +293,36 @@ def translation_matrix(a, N: int, convention: Convention = Convention.BARGMANN_H
 
 
 def _weyl_axis(a: complex, N: int) -> np.ndarray:
-    """1D Weyl matrix from the closed action on monomials:
-    W[m,k] = e^{-|a|^2/2} sqrt(m!/k!) Sigma_j C(k,j) (-a)^{k-j} conj(a)^{m-j} / (m-j)!"""
-    W = np.zeros((N + 1, N + 1), dtype=complex)
-    ea = math.exp(-abs(a) ** 2 / 2.0)
-    ac = np.conj(a)
-    for m in range(N + 1):
-        for k in range(N + 1):
-            s = 0.0 + 0.0j
-            for j in range(min(m, k) + 1):
-                s += math.comb(k, j) * (-a) ** (k - j) * ac ** (m - j) / math.factorial(m - j)
-            W[m, k] = ea * math.exp(0.5 * (math.lgamma(m + 1) - math.lgamma(k + 1))) * s
-    return W
+    """1D Weyl matrix from the Laguerre closed form (Cahill & Glauber 1969):
+    for m >= k,  W[m,k] = sqrt(k!/m!) conj(a)^{m-k} e^{-|a|^2/2} L_k^{(m-k)}(|a|^2),
+    and for m < k the mirrored entry with (-a)^{k-m}, sqrt(m!/k!), L_m^{(k-m)}.
+
+    The prefactor's magnitude is formed in log space, so no factorial or
+    power over- or underflows; xlogy keeps 0 log 0 = 0, so a = 0 gives the
+    exact identity.
+    """
+    m, k = np.indices((N + 1, N + 1))
+    lo, d = np.minimum(m, k), np.abs(m - k)
+    r = abs(a)
+    logmag = 0.5 * (gammaln(lo + 1) - gammaln(np.maximum(m, k) + 1)) + xlogy(d, r) - 0.5 * r * r
+    phase = np.exp(1j * d * np.where(m >= k, -np.angle(a), np.angle(-a)))
+    return np.exp(logmag) * phase * eval_genlaguerre(lo, d, r * r)
+
+
+def _tensor_assemble(axes: list[np.ndarray], N: int) -> np.ndarray:
+    """Matrix of the tensor product of 1D axis matrices on the graded basis:
+    entry (alpha, beta) is the product over axes j of axes[j][alpha_j, beta_j]."""
+    alpha = index_array(len(axes), N)
+    return math.prod(A[np.ix_(alpha[:, j], alpha[:, j])] for j, A in enumerate(axes))
 
 
 def weyl_matrix(a, N: int) -> OperatorMatrix:
     """Matrix of f -> f(z-a) e^{-|a|^2/2 + z.conj(a)} in the monomial basis,
-    computed analytically from the binomial expansion (no quadrature)."""
+    computed analytically per axis from the Laguerre closed form with a
+    log-space prefactor (no quadrature)."""
     av = np.atleast_1d(np.asarray(a, dtype=complex))
-    n = av.size
-    axes = [_weyl_axis(complex(av[j]), N) for j in range(n)]
-    if n == 1:
-        ent = axes[0]
-    else:
-        alpha = index_array(n, N)
-        ent = axes[0][np.ix_(alpha[:, 0], alpha[:, 0])]
-        for j in range(1, n):
-            ent = ent * axes[j][np.ix_(alpha[:, j], alpha[:, j])]
-    return OperatorMatrix(N, n, ent, Convention.FOCK, unitary_expected=True)
+    ent = _tensor_assemble([_weyl_axis(complex(x), N) for x in av], N)
+    return OperatorMatrix(N, av.size, ent, Convention.FOCK, unitary_expected=True)
 
 
 def conjugation_check(a, N: int, grid_order: int | None = None) -> DefectReport:

@@ -515,8 +515,10 @@ def check_conjugation(ctx: VerifyContext) -> ReportRecord:
     cid = "transforms.conjugation"
     tol = ctx.tol(cid, 1e-6)
     worst = 0.0
-    for a in (0.3, 0.7, 1.0):
-        worst = max(worst, conjugation_check(np.array([a]), 32).defect)
+    # the N=96 pairs reach |a| = 5: the identity must hold across the accepted
+    # range, not only at the small N and |a| of the other cases
+    for a, N in ((0.3, 32), (0.7, 32), (1.0, 32), (3.0, 96), (5.0, 96)):
+        worst = max(worst, conjugation_check(np.array([a]), N).defect)
     seq = [conjugation_check(np.array([0.7]), N).defect for N in (16, 32, 48)]
     # quadrature is superexponentially exact here: the sequence sits at the
     # noise floor, so require only no growth beyond it

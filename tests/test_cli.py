@@ -105,6 +105,12 @@ def test_symbol_unknown_multiplier():
     assert exc.value.code == 2
 
 
+def test_symbol_bad_multiplier_argument():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("symbol", "--multiplier", "constant:abc")
+    assert exc.value.code == 2
+
+
 def test_probe_constant_stable(tmp_path):
     out = tmp_path / "p.json"
     run_cli("probe", "--multiplier", "constant:1", "--s", "2",

@@ -57,6 +57,13 @@ class TestSymbolTransform:
         sym = symbol_from_multiplier(signum())
         assert abs(sym(0.0)) <= 1e-14
 
+    def test_evaluates_nd_input_elementwise(self):
+        sym = symbol_from_multiplier(bump())
+        zs = np.array([[0.0, 0.4 - 0.2j, -1.1], [0.7j, 1.5 + 0.3j, -0.2 - 0.9j]])
+        got = sym(zs)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), sym(zs.ravel()))
+
     def test_gaussian_bump_closed_form(self):
         # completing the square: exp(-x^2) maps to sqrt(2/3) exp(z^2/6)
         sym = symbol_from_multiplier(bump())

@@ -170,17 +170,21 @@ class TestTranslation:
             translation_matrix(np.array([3.5]), 8)
 
     @pytest.mark.filterwarnings("ignore::focklab.errors.AccuracyWarning")
-    def test_2d_tensorization(self):
-        a = np.array([0.5, -0.3])
-        T = translation_matrix(a, 6)
-        T1 = translation_matrix(np.array([0.5]), 6)
-        T2 = translation_matrix(np.array([-0.3]), 6)
-        # entry for alpha=(1,0), beta=(0,1) is the product of axis entries
+    @pytest.mark.parametrize("build", [translation_matrix, weyl_matrix],
+                             ids=["translation_matrix", "weyl_matrix"])
+    @pytest.mark.parametrize("a, alpha, beta", [
+        ([0.5, -0.3], (1, 0), (0, 1)),
+        ([0.5, -0.3, 0.8], (1, 0, 2), (0, 1, 0)),
+    ], ids=["n2", "n3"])
+    def test_2d_tensorization(self, build, a, alpha, beta):
+        # entry (alpha, beta) is the product of the 1D axis entries
         from focklab.hermite import index_position
 
-        pos = index_position(2, 6)
-        got = T.entries[pos[(1, 0)], pos[(0, 1)]]
-        assert got == pytest.approx(T1.entries[1, 0] * T2.entries[0, 1], rel=1e-12)
+        T = build(np.array(a), 6)
+        want = math.prod(build(np.array([aj]), 6).entries[i, j]
+                         for aj, i, j in zip(a, alpha, beta))
+        pos = index_position(len(a), 6)
+        assert T.entries[pos[alpha], pos[beta]] == pytest.approx(want, rel=1e-12)
 
 
 class TestWeyl:
@@ -235,6 +239,13 @@ class TestConjugation:
     def test_defect_stays_at_noise_floor_in_N(self):
         seq = [conjugation_check(np.array([0.7]), N).defect for N in (16, 32, 48)]
         assert max(seq) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore::focklab.errors.AccuracyWarning")
+    @pytest.mark.parametrize("a", [3.0, 5.0])
+    def test_large_shift_at_N96(self, a):
+        # translation warns about truncation leakage here; the interior
+        # blocks of the two sections must still agree at the noise floor
+        assert conjugation_check(np.array([a]), 96).defect <= 1e-10
 
 
 class TestLadderIdentities:
