@@ -147,7 +147,7 @@ def run_calibration(seed: int = 2718, verbose: bool = False) -> tuple[dict[str, 
         return [operator_norm(conjugated_multiplier_matrix(m, N), 1.0) for N in Ns]
 
     def classical_seq(m):
-        return [_classical_norm(m, 1.0, N, 32, 1e-10, 20_000, seed) for N in Ns]
+        return [_classical_norm(m, 1.0, N) for N in Ns]
 
     seqs = {
         "constant.s1.hermite": (hermite_seq(constant(1.0)), "stable"),

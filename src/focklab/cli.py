@@ -246,11 +246,14 @@ def cmd_symbol(args, tols) -> int:
 
 
 def cmd_probe(args, tols) -> int:
+    args.N_list = args.N_list or [8, 16, 32, 64]
     cfg = _make_config(args, tols)
     if not cfg.multiplier:
         _fail_config("probe needs --multiplier")
+    if len(cfg.N_list) < 2:
+        _fail_config("probe needs at least two --N values to measure growth")
     try:
-        N_list = _strictly_increasing(cfg.N_list if len(cfg.N_list) > 1 else [8, 16, 32, 64])
+        N_list = _strictly_increasing(cfg.N_list)
         m = parse_multiplier(cfg.multiplier)
     except (KeyError, ValueError) as exc:
         _fail_config(str(exc))

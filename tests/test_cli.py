@@ -137,6 +137,17 @@ def test_probe_requires_increasing_N():
     assert exc.value.code == 2
 
 
+def test_probe_N_list_echoed_as_run(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("probe", "--multiplier", "constant:1", "--N", "20")
+    assert exc.value.code == 2
+    out = tmp_path / "p.json"
+    run_cli("probe", "--multiplier", "constant:1", "--out", str(out))
+    doc = json.loads(out.read_text())
+    assert doc["config"]["N"] == [8, 16, 32, 64]
+    assert doc["records"][0]["measured"]["N_list"] == [8, 16, 32, 64]
+
+
 def test_export_roundtrip_bit_identical(tmp_path):
     from focklab.matio import read_matrix, write_matrix
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focklab.calibration import load_calibration
-from focklab.errors import AccuracyWarning, GridMismatchError
+from focklab.errors import AccuracyWarning, ConvergenceWarning, GridMismatchError
 from focklab.hermite import (
     Convention,
     SpectralVector,
@@ -20,6 +20,8 @@ from focklab.hermite import (
 from focklab.multipliers import bump, chirp43, constant, modulation, parse_multiplier, signum
 from focklab.operators import (
     GrowthThresholds,
+    _classical_norm,
+    _classical_operator,
     apply_integral_operator,
     boundedness_probe,
     classical_sobolev_probe,
@@ -269,6 +271,35 @@ class TestOperatorNorm:
                 a = operator_norm(conjugated_multiplier_matrix(m, 20), s)
                 b = operator_norm(multiplier_matrix(m, 20), s)
                 assert a == pytest.approx(b, rel=1e-5)
+
+
+class TestClassicalNorm:
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("label", ["constant", "constant:2.5", "signum", "chirp43",
+                                       "modulation:0.5", "bump:1.5"])
+    def test_matches_dense_svd(self, label, s):
+        # signum at s=0 has a degenerate Gram spectrum
+        m = parse_multiplier(label)
+        B = _classical_operator(m, s, 8, 32)
+        dense = np.column_stack([B.matvec(e) for e in np.eye(B.shape[0], dtype=complex)])
+        want = np.linalg.norm(dense, 2)
+        assert _classical_norm(m, s, 8) == pytest.approx(want, rel=1e-10)
+
+    def test_restart_cap_warns_with_lower_bound(self):
+        m = parse_multiplier("bump:1.5")
+        full = _classical_norm(m, 0.0, 64)
+        with pytest.warns(ConvergenceWarning, match="did not converge"):
+            low = _classical_norm(m, 0.0, 64, max_iter=1)
+        assert math.isfinite(low) and 0.0 < low <= full
+
+    def test_zero_multiplier(self):
+        # ARPACK rejects the null start vector a zero Gram operator produces
+        assert _classical_norm(parse_multiplier("constant:0"), 1.0, 8) == 0.0
+
+    def test_probe_is_deterministic(self, thresholds):
+        runs = [classical_sobolev_probe(bump(), 0.5, (8, 16, 32), thresholds)
+                for _ in range(2)]
+        assert runs[0].values == runs[1].values
 
 
 class TestProbes:
