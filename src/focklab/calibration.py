@@ -21,6 +21,7 @@ from .multipliers import bump, chirp43, constant, signum
 from .operators import (
     GrowthThresholds,
     _classical_norm,
+    _growth_ratios,
     conjugated_multiplier_matrix,
     operator_norm,
 )
@@ -158,8 +159,7 @@ def run_calibration(seed: int = 2718, verbose: bool = False) -> tuple[dict[str, 
         "bump.s1.classical": (classical_seq(bump()), "stable"),
     }
     for name, (vals, kind) in seqs.items():
-        lf = vals[-1] / vals[0]
-        mm = max(vals) / min(vals)
+        lf, mm = _growth_ratios(vals)
         values[f"probe.{name}.last_first"] = lf
         comments[f"probe.{name}.last_first"] = (
             f"observed over N={list(Ns)}: values "

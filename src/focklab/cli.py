@@ -13,8 +13,8 @@ Exit status: 0 all checks passed, 1 some check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,49 +40,7 @@ from .reporting import ReportRecord, emit_csv, emit_json, summarize
 from .transforms import OperatorMatrix, translation_matrix, weyl_matrix
 from .verify import CHECK_IDS, VerifyContext, run_suite
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    n: int = 1
-    N_list: list[int] = field(default_factory=lambda: [12])
-    s: float = 0.0
-    quad_order: int | None = None
-    multiplier: str | None = None
-    fmt: str = "json"
-    out: str | None = None
-    seed: int = 2718
-    jobs: int = 1
-    tol_overrides: dict[str, float] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.n not in (1, 2, 3):
-            raise ConfigError(f"--n must be 1, 2 or 3; got {self.n}")
-        for N in self.N_list:
-            if N < 4:
-                raise ConfigError(f"--N must be >= 4; got {N}")
-        if self.quad_order is not None:
-            need = max(self.N_list) + 8
-            if self.quad_order < need:
-                raise ConfigError(
-                    f"--quad-order must be >= N + 8 = {need}; got {self.quad_order}")
-        if self.s < 0:
-            raise ConfigError(f"--s must be >= 0; got {self.s}")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"--format must be json or csv; got {self.fmt}")
-        if self.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1; got {self.jobs}")
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n, "N": self.N_list, "s": self.s,
-            "quad_order": self.quad_order, "multiplier": self.multiplier,
-            "format": self.fmt, "seed": self.seed, "jobs": self.jobs,
-            "tol_overrides": self.tol_overrides,
-        }
+__all__ = ["main"]
 
 
 def _fail_config(msg: str) -> "NoReturn":  # noqa: F821
@@ -111,6 +69,19 @@ def _extract_tol_overrides(rest: list[str]) -> dict[str, float]:
     return out
 
 
+def _at_least(lo, kind=int):
+    """argparse type: a finite ``kind`` value no smaller than ``lo`` (else
+    exit 2); nan and inf are out of range."""
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= {lo}; got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="focklab",
@@ -123,60 +94,61 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q):
-        q.add_argument("--n", type=int, default=1)
-        q.add_argument("--N", type=int, action="append", dest="N_list")
-        q.add_argument("--s", type=float, default=0.0)
-        q.add_argument("--quad-order", type=int, default=None)
-        q.add_argument("--multiplier", type=str, default=None)
-        q.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        q.add_argument("--out", type=str, default=None)
-        q.add_argument("--seed", type=int, default=2718)
-        q.add_argument("--jobs", type=int, default=1)
-
-    v = sub.add_parser("verify", help="run the verification suite")
-    common(v)
+    # No abbreviations: an option another subcommand owns must not be read
+    # as a prefix of one of ours (``verify --s 2`` as ``--seed 2``).
+    v = sub.add_parser("verify", help="run the verification suite", allow_abbrev=False)
+    v.set_defaults(run=cmd_verify)
     v.add_argument("--only", type=str, default=None,
                    help="run only checks whose id starts with this prefix")
     v.add_argument("--list", action="store_true", help="list check ids and exit")
+    v.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    v.add_argument("--out", type=str, default=None)
+    v.add_argument("--seed", type=int, default=2718)
 
-    s = sub.add_parser("symbol", help="tabulate a symbol on a complex grid")
-    common(s)
+    s = sub.add_parser("symbol", help="tabulate a symbol on a complex grid",
+                       allow_abbrev=False)
+    s.set_defaults(run=cmd_symbol)
+    s.add_argument("--multiplier", type=str, required=True)
+    # 20 = N + 8 at the reference truncation N = 12
+    s.add_argument("--quad-order", type=_at_least(20), default=160)
     s.add_argument("--z-re", type=str, default="-2:2:9", help="start:stop:count")
     s.add_argument("--z-im", type=str, default="-2:2:9", help="start:stop:count")
+    s.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    s.add_argument("--out", type=str, default=None)
 
-    pr = sub.add_parser("probe", help="boundedness probe over a truncation sweep")
-    common(pr)
+    pr = sub.add_parser("probe", help="boundedness probe over a truncation sweep",
+                        allow_abbrev=False)
+    pr.set_defaults(run=cmd_probe)
+    pr.add_argument("--multiplier", type=str, required=True)
+    pr.add_argument("--s", type=_at_least(0.0, float), default=0.0)
+    pr.add_argument("--N", type=_at_least(4), action="append", dest="N_list",
+                    help="truncation, repeated (default 8 16 32 64)")
     pr.add_argument("--classical", action="store_true",
                     help="also run the flat-weight classical-side probe")
+    pr.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    pr.add_argument("--out", type=str, default=None)
 
-    e = sub.add_parser("export", help="write an operator matrix to disk")
-    common(e)
+    e = sub.add_parser("export", help="write an operator matrix to disk",
+                       allow_abbrev=False)
+    e.set_defaults(run=cmd_export)
     e.add_argument("--matrix", type=str, required=True,
                    help="identity | translation:<a> | weyl:<a> | multiplier:<id> | conjugated:<id>")
+    e.add_argument("--n", type=int, choices=(1, 2, 3), default=1)
+    e.add_argument("--N", type=_at_least(4), default=12)
     e.add_argument("--encoding", choices=("binary", "csv"), default="binary")
+    e.add_argument("--out", type=str, required=True)
 
-    c = sub.add_parser("calibrate", help="run the oracle measurements")
-    common(c)
+    c = sub.add_parser("calibrate", help="run the oracle measurements", allow_abbrev=False)
+    c.set_defaults(run=cmd_calibrate)
+    c.add_argument("--out", type=str, default=None)
+    c.add_argument("--seed", type=int, default=2718)
     c.add_argument("--verbose", action="store_true")
     return p
 
 
-def _make_config(args, tols) -> RunConfig:
-    cfg = RunConfig(
-        n=args.n, N_list=args.N_list or [12], s=args.s, quad_order=args.quad_order,
-        multiplier=args.multiplier, fmt=args.fmt, out=args.out, seed=args.seed,
-        jobs=args.jobs, tol_overrides=tols)
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        _fail_config(str(exc))
-    return cfg
-
-
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+def _write(out: str | None, text: str) -> None:
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -185,24 +157,24 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def cmd_verify(args, tols) -> int:
-    cfg = _make_config(args, tols)
+def cmd_verify(args) -> int:
     if args.list:
         print("\n".join(CHECK_IDS))
         return 0
+    tols = args.tol_overrides
     unknown = [k for k in tols if k not in CHECK_IDS
                and not any(c.startswith(k.rstrip(".")) for c in CHECK_IDS)]
     if unknown:
         _fail_config(f"--tol overrides for unknown checks: {unknown}")
-    ctx = VerifyContext(seed=cfg.seed, tol_overrides=tols, jobs=cfg.jobs)
-    records = run_suite(ctx, only=args.only)
+    records = run_suite(VerifyContext(seed=args.seed, tol_overrides=tols), only=args.only)
     if not records:
         _fail_config(f"--only {args.only!r} matches no checks")
     for r in records:
         print(f"[{r.status:4s}] {r.check_id}  ({r.wall_ms:.0f} ms)", file=sys.stderr)
-    text = emit_json(records, cfg.as_dict(), _timestamp()) if cfg.fmt == "json" \
+    config = {"format": args.fmt, "seed": args.seed, "tol_overrides": tols}
+    text = emit_json(records, config, _timestamp()) if args.fmt == "json" \
         else emit_csv(records)
-    _write(cfg, text)
+    _write(args.out, text)
     sm = summarize(records)
     print(f"{sm['passed']}/{sm['total']} checks passed", file=sys.stderr)
     return 0 if sm["failed"] == 0 else 1
@@ -216,15 +188,12 @@ def _parse_range(spec: str) -> np.ndarray:
         _fail_config(f"bad range {spec!r}; expected start:stop:count")
 
 
-def cmd_symbol(args, tols) -> int:
-    cfg = _make_config(args, tols)
-    if not cfg.multiplier:
-        _fail_config("symbol needs --multiplier")
+def cmd_symbol(args) -> int:
     try:
-        m = parse_multiplier(cfg.multiplier)
+        m = parse_multiplier(args.multiplier)
     except (KeyError, ValueError) as exc:
         _fail_config(str(exc))
-    sym = symbol_from_multiplier(m, quad_order=cfg.quad_order or 160)
+    sym = symbol_from_multiplier(m, quad_order=args.quad_order)
     re = _parse_range(args.z_re)
     im = _parse_range(args.z_im)
     zz = (re[:, None] + 1j * im[None, :]).ravel()
@@ -235,46 +204,45 @@ def cmd_symbol(args, tols) -> int:
                                "re_phi": float(v.real), "im_phi": float(v.imag)})
         for z, v in zip(zz, vals)
     ]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["re_z,im_z,re_phi,im_phi"]
         lines += [f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},{float(v.imag)!r}"
                   for z, v in zip(zz, vals)]
-        _write(cfg, "\n".join(lines) + "\n")
+        _write(args.out, "\n".join(lines) + "\n")
     else:
-        _write(cfg, emit_json(records, cfg.as_dict(), _timestamp()))
+        config = {"multiplier": args.multiplier, "quad_order": args.quad_order,
+                  "format": args.fmt}
+        _write(args.out, emit_json(records, config, _timestamp()))
     return 0
 
 
-def cmd_probe(args, tols) -> int:
-    args.N_list = args.N_list or [8, 16, 32, 64]
-    cfg = _make_config(args, tols)
-    if not cfg.multiplier:
-        _fail_config("probe needs --multiplier")
-    if len(cfg.N_list) < 2:
+def cmd_probe(args) -> int:
+    N_list = args.N_list or [8, 16, 32, 64]
+    if len(N_list) < 2:
         _fail_config("probe needs at least two --N values to measure growth")
     try:
-        N_list = _strictly_increasing(cfg.N_list)
-        m = parse_multiplier(cfg.multiplier)
+        _strictly_increasing(N_list)
+        m = parse_multiplier(args.multiplier)
     except (KeyError, ValueError) as exc:
         _fail_config(str(exc))
     th = load_calibration().growth_thresholds
-    reports = [boundedness_probe(m, cfg.s, N_list, th)]
+    reports = [boundedness_probe(m, args.s, N_list, th)]
     if args.classical:
-        if cfg.n != 1:
-            _fail_config("the classical contrast probe is one-dimensional")
-        reports.append(classical_sobolev_probe(m, cfg.s, N_list, th))
+        reports.append(classical_sobolev_probe(m, args.s, N_list, th))
     records = [ReportRecord(check_id=f"probe[{m.label}:{r.side}]",
                             status="pass" if r.classification != "inconclusive"
                             else "inconclusive",
                             measured=r.as_dict()) for r in reports]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["multiplier,side,s,N,norm"]
         for r in reports:
             for N, vv in zip(r.N_list, r.values):
                 lines.append(f"{r.multiplier},{r.side},{r.s!r},{N},{vv!r}")
-        _write(cfg, "\n".join(lines) + "\n")
+        _write(args.out, "\n".join(lines) + "\n")
     else:
-        _write(cfg, emit_json(records, cfg.as_dict(), _timestamp()))
+        config = {"multiplier": args.multiplier, "s": args.s, "N": N_list,
+                  "format": args.fmt}
+        _write(args.out, emit_json(records, config, _timestamp()))
     return 0
 
 
@@ -298,48 +266,39 @@ def _build_matrix(selector: str, N: int, n: int) -> OperatorMatrix:
     raise ConfigError(f"unknown matrix selector {selector!r}")
 
 
-def cmd_export(args, tols) -> int:
+def cmd_export(args) -> int:
     from .matio import write_matrix
 
-    cfg = _make_config(args, tols)
-    if not cfg.out:
-        _fail_config("export needs --out")
     try:
-        M = _build_matrix(args.matrix, max(cfg.N_list), cfg.n)
+        M = _build_matrix(args.matrix, args.N, args.n)
     except (ConfigError, KeyError, ValueError) as exc:
         _fail_config(str(exc))
     try:
-        write_matrix(Path(cfg.out), M, fmt=args.encoding)
+        write_matrix(Path(args.out), M, fmt=args.encoding)
     except OSError as exc:
-        print(f"I/O error writing {cfg.out}: {exc}", file=sys.stderr)
+        print(f"I/O error writing {args.out}: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {args.matrix} (n={M.dim}, N={M.truncation}) to {cfg.out}",
+    print(f"wrote {args.matrix} (n={M.dim}, N={M.truncation}) to {args.out}",
           file=sys.stderr)
     return 0
 
 
-def cmd_calibrate(args, tols) -> int:
-    cfg = _make_config(args, tols)
-    values, comments = run_calibration(seed=cfg.seed, verbose=args.verbose)
-    out = Path(cfg.out) if cfg.out else default_calibration_path()
-    save_calibration(out, values, comments, cfg.seed)
+def cmd_calibrate(args) -> int:
+    values, comments = run_calibration(seed=args.seed, verbose=args.verbose)
+    out = Path(args.out) if args.out else default_calibration_path()
+    save_calibration(out, values, comments, args.seed)
     print(f"calibration written to {out}", file=sys.stderr)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args, rest = parser.parse_known_args(argv)
-    tols = _extract_tol_overrides(rest)
-    handlers = {
-        "verify": cmd_verify,
-        "symbol": cmd_symbol,
-        "probe": cmd_probe,
-        "export": cmd_export,
-        "calibrate": cmd_calibrate,
-    }
+    args, rest = _build_parser().parse_known_args(argv)
+    if args.command == "verify":
+        args.tol_overrides = _extract_tol_overrides(rest)
+    elif rest:
+        _fail_config(f"unrecognized arguments: {' '.join(rest)}")
     try:
-        return handlers[args.command](args, tols)
+        return args.run(args)
     except FockLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -328,10 +328,17 @@ class GrowthReport:
         }
 
 
-def classify_growth(values: Sequence[float], thresholds: GrowthThresholds) -> str:
+def _growth_ratios(values: Sequence[float]) -> tuple[float, float]:
+    """(last/first, max/min) of a norm sequence; an identically zero
+    sequence is constant, so both ratios are 1."""
     vals = list(values)
-    last_first = vals[-1] / vals[0]
-    max_min = max(vals) / min(vals)
+    if not any(vals):
+        return 1.0, 1.0
+    return vals[-1] / vals[0], max(vals) / min(vals)
+
+
+def classify_growth(values: Sequence[float], thresholds: GrowthThresholds) -> str:
+    last_first, max_min = _growth_ratios(values)
     if max_min < thresholds.S:
         return "stable"
     if last_first > thresholds.G:
@@ -347,8 +354,7 @@ def _strictly_increasing(N_list: Sequence[int]) -> tuple[int, ...]:
 
 
 def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
-                      thresholds: GrowthThresholds,
-                      norm_seed: int = 1234) -> GrowthReport:
+                      thresholds: GrowthThresholds) -> GrowthReport:
     """Weighted operator norms of the conjugated multiplier matrix over an
     increasing truncation list, classified by the calibrated ratio rule.
 
@@ -356,11 +362,10 @@ def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     not a proof; the norm sequences themselves are the primary output.
     """
     N_list = _strictly_increasing(N_list)
-    vals = tuple(operator_norm(conjugated_multiplier_matrix(m, N), s, seed=norm_seed)
+    vals = tuple(operator_norm(conjugated_multiplier_matrix(m, N), s)
                  for N in N_list)
     return GrowthReport(m.label, "hermite", s, N_list, vals,
-                        vals[-1] / vals[0], max(vals) / min(vals),
-                        classify_growth(vals, thresholds))
+                        *_growth_ratios(vals), classify_growth(vals, thresholds))
 
 
 def _classical_operator(m: MultiplierSpec, s: float, N: int,
@@ -456,8 +461,7 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     N_list = _strictly_increasing(N_list)
     vals = tuple(_classical_norm(m, s, N, points_per_N) for N in N_list)
     return GrowthReport(m.label, "classical", s, N_list, vals,
-                        vals[-1] / vals[0], max(vals) / min(vals),
-                        classify_growth(vals, thresholds))
+                        *_growth_ratios(vals), classify_growth(vals, thresholds))
 
 
 def _edge_mask(grid2n: QuadratureGrid) -> np.ndarray:

@@ -14,9 +14,6 @@ from typing import Any
 
 SCHEMA = "focklab/1"
 
-# fields that legitimately vary between identical runs
-NONDETERMINISTIC_FIELDS = ("timestamp", "wall_ms")
-
 
 @dataclass
 class ReportRecord:

@@ -2,8 +2,7 @@
 
 Each check measures a defect or a property and returns one ReportRecord;
 the suite exit status is the CLI's contract (0 all pass, 1 any failure).
-Checks are independent and ordered; a worker pool may run them concurrently
-but records are always emitted in declared order.
+Checks are independent and run one after another, in declared order.
 """
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import math
 import time
 import warnings
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,7 +84,6 @@ class VerifyContext:
     seed: int = 2718
     tol_overrides: dict[str, float] = field(default_factory=dict)
     calibration: Calibration | None = None
-    jobs: int = 1
 
     def tol(self, check_id: str, default: float) -> float:
         return self.tol_overrides.get(check_id, default)
@@ -427,7 +424,7 @@ def check_bargmann_calibration(ctx: VerifyContext) -> ReportRecord:
         worst = max(worst, float(np.abs(got - want).max()))
     dt = time.perf_counter() - t0
     return _record(cid, worst <= tol and dt <= 5.0,
-                   {"sup_error": worst, "seconds": dt}, tol, points=25, k_max=10)
+                   {"sup_error": worst}, tol, points=25, k_max=10)
 
 
 def check_fourier_eigen(ctx: VerifyContext) -> ReportRecord:
@@ -673,7 +670,7 @@ def check_theorem_matrix(ctx: VerifyContext) -> ReportRecord:
             dists[N] = interior_frobenius(A.entries, B.entries, 1, N)
         dt = time.perf_counter() - t0
         ok &= dists[12] <= tol and dists[8] > dists[12] and dt <= 120.0
-        results[m.label] = {"d8": dists[8], "d12": dists[12], "seconds": dt}
+        results[m.label] = {"d8": dists[8], "d12": dists[12]}
     return _record(cid, ok, results, tol, N_fine=12, Q_fine=default_mesh_order(12))
 
 
@@ -838,9 +835,5 @@ def _run_one(ctx: VerifyContext, cid: str, fn) -> ReportRecord:
 
 def run_suite(ctx: VerifyContext, only: str | None = None) -> list[ReportRecord]:
     """Run (a prefix-filtered subset of) the suite; records in declared order."""
-    selected = [(cid, fn) for cid, fn in CHECKS if only is None or cid.startswith(only)]
-    if ctx.jobs > 1:
-        with ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
-            futs = [pool.submit(_run_one, ctx, cid, fn) for cid, fn in selected]
-            return [f.result() for f in futs]
-    return [_run_one(ctx, cid, fn) for cid, fn in selected]
+    return [_run_one(ctx, cid, fn) for cid, fn in CHECKS
+            if only is None or cid.startswith(only)]

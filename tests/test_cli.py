@@ -1,13 +1,16 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from focklab.cli import main
+from focklab.cli import _build_parser, _extract_tol_overrides, main
 from focklab.reporting import strip_timing
+from focklab.verify import CHECK_IDS
 
 
 def run_cli(*argv):
@@ -23,16 +26,45 @@ def test_verify_subset_exit_zero(tmp_path):
     assert all(r["check_id"].startswith("hermite.") for r in doc["records"])
 
 
-def test_verify_rejects_small_truncation():
+def test_probe_and_export_reject_small_truncation(tmp_path):
+    for argv in (("probe", "--multiplier", "constant:1", "--N", "2", "--N", "8"),
+                 ("export", "--matrix", "identity", "--N", "2",
+                  "--out", str(tmp_path / "m.mat"))):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("s", ["-1", "nan", "inf"])
+def test_probe_rejects_out_of_range_s(s):
     with pytest.raises(SystemExit) as exc:
-        run_cli("verify", "--N", "2")
+        run_cli("probe", "--multiplier", "constant", "--s", s)
     assert exc.value.code == 2
 
 
-def test_verify_rejects_bad_quad_order():
+def test_symbol_rejects_bad_quad_order():
     with pytest.raises(SystemExit) as exc:
-        run_cli("verify", "--N", "12", "--quad-order", "10")
+        run_cli("symbol", "--multiplier", "constant", "--quad-order", "10")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--jobs", "2"),
+    ("verify", "--N", "12"),
+    ("symbol", "--multiplier", "constant", "--seed", "1"),
+    ("probe", "--multiplier", "constant", "--n", "2"),
+    ("export", "--matrix", "identity", "--s", "1"),
+    ("export", "--matrix", "identity", "--tol.hermite.orthonormality", "0"),
+    ("calibrate", "--multiplier", "bump"),
+    ("verify", "--s", "2"),
+], ids=lambda argv: argv[0] + argv[-2])
+def test_option_of_another_subcommand_is_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zero_tolerance_forces_failure(tmp_path):
@@ -48,6 +80,18 @@ def test_unknown_tol_override_is_config_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--tol.nonsense.check", "1e-3")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("only", ["operators", "transforms"])
+def test_timed_checks_deterministic_modulo_timing(tmp_path, only):
+    # theorem-matrix and bargmann-calibration time themselves; the time is
+    # a pass condition but must stay out of the report.
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        run_cli("verify", "--only", only, "--out", str(out))
+    assert strip_timing(a.read_text()) == strip_timing(b.read_text())
+    ids = [r["check_id"] for r in json.loads(a.read_text())["records"]]
+    assert ids == [c for c in CHECK_IDS if c.startswith(only)]
 
 
 def test_determinism_modulo_timing(tmp_path):
@@ -131,6 +175,17 @@ def test_probe_chirp_contrast(tmp_path):
     assert byside == {"hermite": "stable", "classical": "growing"}
 
 
+def test_probe_zero_multiplier_is_stable(tmp_path):
+    out = tmp_path / "p.json"
+    assert run_cli("probe", "--multiplier", "constant:0", "--N", "8", "--N", "16",
+                   "--classical", "--out", str(out)) == 0
+    recs = [r["measured"] for r in json.loads(out.read_text())["records"]]
+    assert {r["side"] for r in recs} == {"hermite", "classical"}
+    for r in recs:
+        assert r["classification"] == "stable"
+        assert r["values"] == [0.0, 0.0]
+
+
 def test_probe_requires_increasing_N():
     with pytest.raises(SystemExit) as exc:
         run_cli("probe", "--multiplier", "constant:1", "--N", "16", "--N", "8")
@@ -184,11 +239,26 @@ def test_module_entrypoint_smoke():
     assert "operators.theorem-matrix" in r.stdout
 
 
-def test_worker_pool_preserves_order_and_values(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run_cli("verify", "--only", "hermite", "--jobs", "1", "--out", str(a))
-    run_cli("verify", "--only", "hermite", "--jobs", "3", "--out", str(b))
-    assert strip_timing(a.read_text()) == strip_timing(b.read_text().replace('"jobs": 3', '"jobs": 1'))
+def _command_lines(text):
+    """The ``focklab ...`` lines of ``text`` as argument lists, with
+    backslash continuations joined."""
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln[ln.index("focklab "):])[1:] for ln in lines
+            if "focklab " in ln]
+
+
+def test_documented_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_block = readme.split("## CLI\n", 1)[1].strip("\n").split("\n\n", 1)[0]
+    readme_argvs = _command_lines(cli_block)
+    assert {argv[0] for argv in readme_argvs} == {"verify", "symbol", "probe", "export",
+                                                  "calibrate"}
+    for argv in readme_argvs + _command_lines(_build_parser().epilog):
+        args, rest = _build_parser().parse_known_args(argv)
+        if args.command == "verify":
+            assert set(_extract_tol_overrides(rest)) <= set(CHECK_IDS), argv
+        else:
+            assert rest == [], argv
 
 
 def test_calibration_env_override(tmp_path, monkeypatch):
