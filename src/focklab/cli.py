@@ -38,7 +38,7 @@ from .operators import (
 )
 from .reporting import ReportRecord, emit_csv, emit_json, summarize
 from .transforms import OperatorMatrix, translation_matrix, weyl_matrix
-from .verify import CHECK_IDS, VerifyContext, run_suite
+from .verify import CHECKS, TOLERANCES, VerifyContext, run_suite
 
 __all__ = ["main"]
 
@@ -100,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.set_defaults(run=cmd_verify)
     v.add_argument("--only", type=str, default=None,
                    help="run only checks whose id starts with this prefix")
-    v.add_argument("--list", action="store_true", help="list check ids and exit")
+    v.add_argument("--list", action="store_true",
+                   help="list check ids with their tolerance keys and defaults, and exit")
     v.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     v.add_argument("--out", type=str, default=None)
     v.add_argument("--seed", type=int, default=2718)
@@ -159,13 +160,14 @@ def _timestamp() -> str:
 
 def cmd_verify(args) -> int:
     if args.list:
-        print("\n".join(CHECK_IDS))
+        for cid, _, defaults in CHECKS:
+            print(" ".join([cid] + [f"{k}={v!r}" for k, v in defaults.items()]))
         return 0
     tols = args.tol_overrides
-    unknown = [k for k in tols if k not in CHECK_IDS
-               and not any(c.startswith(k.rstrip(".")) for c in CHECK_IDS)]
+    unknown = [k for k in tols if k not in TOLERANCES]
     if unknown:
-        _fail_config(f"--tol overrides for unknown checks: {unknown}")
+        _fail_config(f"--tol overrides for undeclared keys {unknown}; "
+                     "`focklab verify --list` shows the declared ones")
     records = run_suite(VerifyContext(seed=args.seed, tol_overrides=tols), only=args.only)
     if not records:
         _fail_config(f"--only {args.only!r} matches no checks")

@@ -105,10 +105,6 @@ class MultiIndex:
             out *= math.factorial(c)
         return out
 
-    @property
-    def log_factorial(self) -> float:
-        return sum(math.lgamma(c + 1) for c in self.components)
-
     def __iter__(self):
         return iter(self.components)
 

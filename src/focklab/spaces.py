@@ -255,11 +255,6 @@ class PartitionBump:
     def c0(self) -> float:
         return 3.0 ** self.dim
 
-    @property
-    def max_overlap(self) -> int:
-        """Translates covering a generic point: 4 per axis."""
-        return 4 ** self.dim
-
     def _cdf_at(self, t: np.ndarray) -> np.ndarray:
         # exact partial-panel Gauss-Legendre on top of the cumulative table
         t = np.clip(np.asarray(t, dtype=float), -0.5, 0.5)

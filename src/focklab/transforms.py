@@ -98,9 +98,6 @@ class OperatorMatrix:
         d = g - np.eye(g.shape[0])
         return float(np.linalg.norm(interior_block(d, self.dim, self.truncation)))
 
-    def retag(self, **kw) -> "OperatorMatrix":
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class DefectReport:

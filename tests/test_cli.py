@@ -10,7 +10,7 @@ import pytest
 
 from focklab.cli import _build_parser, _extract_tol_overrides, main
 from focklab.reporting import strip_timing
-from focklab.verify import CHECK_IDS
+from focklab.verify import CHECK_IDS, CHECKS, TOLERANCES, VerifyContext
 
 
 def run_cli(*argv):
@@ -77,9 +77,38 @@ def test_zero_tolerance_forces_failure(tmp_path):
 
 
 def test_unknown_tol_override_is_config_error():
-    with pytest.raises(SystemExit) as exc:
-        run_cli("verify", "--tol.nonsense.check", "1e-3")
-    assert exc.value.code == 2
+    # an unknown id, a check-id prefix, a check without tolerances and a
+    # misspelt sub-key
+    for key in ("nonsense.check", "hermite", "spaces.norm-monotonicity",
+                "transforms.conjugation.flor"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--only", "hermite.orthonormality", f"--tol.{key}", "1e-3")
+        assert exc.value.code == 2
+
+
+def test_reading_an_undeclared_key_raises():
+    with pytest.raises(KeyError):
+        VerifyContext().tol("hermite")
+
+
+@pytest.mark.parametrize("cid, key", [(cid, key) for cid, _, tols in CHECKS for key in tols],
+                         ids=list(TOLERANCES))
+def test_every_declared_tol_key_is_applied(tmp_path, cid, key):
+    # no measured defect is negative, so each key must fail its own check;
+    # a crashed check would record no tolerance
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--only", cid, f"--tol.{key}=-1", "--out", str(out)) == 1
+    rec, = [r for r in json.loads(out.read_text())["records"] if r["check_id"] == cid]
+    assert rec["status"] == "fail"
+    assert rec["tolerance"] == (-1.0 if key == cid else TOLERANCES[cid])
+
+
+def test_list_prints_declared_keys(capsys):
+    assert run_cli("verify", "--list") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == CHECK_IDS
+    listed = dict(kv.split("=") for ln in lines for kv in ln.split()[1:])
+    assert {k: float(v) for k, v in listed.items()} == TOLERANCES
 
 
 @pytest.mark.parametrize("only", ["operators", "transforms"])
@@ -256,7 +285,7 @@ def test_documented_command_lines_parse():
     for argv in readme_argvs + _command_lines(_build_parser().epilog):
         args, rest = _build_parser().parse_known_args(argv)
         if args.command == "verify":
-            assert set(_extract_tol_overrides(rest)) <= set(CHECK_IDS), argv
+            assert set(_extract_tol_overrides(rest)) <= set(TOLERANCES), argv
         else:
             assert rest == [], argv
 

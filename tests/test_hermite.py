@@ -56,7 +56,6 @@ class TestMultiIndex:
         a = MultiIndex((3, 2))
         assert a.order == 5
         assert a.factorial == 12
-        assert a.log_factorial == pytest.approx(math.log(12))
 
     def test_rejects_negative(self):
         from focklab.hermite import MultiIndex

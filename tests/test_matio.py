@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ def test_magic_layout():
 
 
 def test_binary_roundtrip_bit_identical(tmp_path):
-    M = weyl_matrix(0.4 + 0.2j, 10).retag(s_domain=1.0, s_codomain=0.5)
+    M = replace(weyl_matrix(0.4 + 0.2j, 10), s_domain=1.0, s_codomain=0.5)
     p = tmp_path / "w.mat"
     write_matrix(p, M)
     R = read_matrix(p)

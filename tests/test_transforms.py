@@ -283,9 +283,10 @@ class TestLadderIdentities:
         g = random_vector(1, 8, Convention.PAPER_H, 15)
         r = leibniz_check(f, g)
         assert r.defect <= 1e-8
+        # past the coefficient peak of fg (degree 16) the tail decays geometrically
         tails = [leibniz_check(f, g, projection_truncation=T).details["top_grade_defect"]
-                 for T in (16, 32, 48)]
-        assert tails[0] > tails[1] > tails[2]
+                 for T in (32, 48, 64)]
+        assert tails[1] <= 0.5 * tails[0] and tails[2] <= 0.5 * tails[1]
 
     def test_fractional_shift_calculus(self):
         v = random_vector(1, 20, Convention.PAPER_H, 16)
