@@ -48,27 +48,6 @@ def _fail_config(msg: str) -> "NoReturn":  # noqa: F821
     raise SystemExit(2)
 
 
-def _extract_tol_overrides(rest: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if not tok.startswith("--tol."):
-            _fail_config(f"unrecognized argument {tok!r}")
-        key, eq, val = tok[6:].partition("=")
-        if not eq:
-            if i + 1 >= len(rest):
-                _fail_config(f"--tol.{key} needs a value")
-            val = rest[i + 1]
-            i += 1
-        try:
-            out[key] = float(val)
-        except ValueError:
-            _fail_config(f"--tol.{key} value {val!r} is not a number")
-        i += 1
-    return out
-
-
 def _at_least(lo, kind=int):
     """argparse type: a finite ``kind`` value no smaller than ``lo`` (else
     exit 2); nan and inf are out of range."""
@@ -101,10 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--only", type=str, default=None,
                    help="run only checks whose id starts with this prefix")
     v.add_argument("--list", action="store_true",
-                   help="list check ids with their tolerance keys and defaults, and exit")
+                   help="list check ids with their tolerance keys and defaults, and exit; "
+                        "--tol.<key> X overrides one")
     v.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     v.add_argument("--out", type=str, default=None)
     v.add_argument("--seed", type=int, default=2718)
+    for key in TOLERANCES:
+        v.add_argument(f"--tol.{key}", type=float, dest=f"tol.{key}",
+                       help=argparse.SUPPRESS)
 
     s = sub.add_parser("symbol", help="tabulate a symbol on a complex grid",
                        allow_abbrev=False)
@@ -163,11 +146,7 @@ def cmd_verify(args) -> int:
         for cid, _, defaults in CHECKS:
             print(" ".join([cid] + [f"{k}={v!r}" for k, v in defaults.items()]))
         return 0
-    tols = args.tol_overrides
-    unknown = [k for k in tols if k not in TOLERANCES]
-    if unknown:
-        _fail_config(f"--tol overrides for undeclared keys {unknown}; "
-                     "`focklab verify --list` shows the declared ones")
+    tols = {k: x for k in TOLERANCES if (x := getattr(args, f"tol.{k}")) is not None}
     records = run_suite(VerifyContext(seed=args.seed, tol_overrides=tols), only=args.only)
     if not records:
         _fail_config(f"--only {args.only!r} matches no checks")
@@ -261,6 +240,8 @@ def _build_matrix(selector: str, N: int, n: int) -> OperatorMatrix:
     if kind == "weyl":
         a = np.full(n, complex(arg or 0.0))
         return weyl_matrix(a, N)
+    if kind in ("multiplier", "conjugated") and n != 1:
+        raise ConfigError(f"{kind} matrices are built for n=1 only; got --n {n}")
     if kind == "multiplier":
         return multiplier_matrix(parse_multiplier(arg), N)
     if kind == "conjugated":
@@ -294,11 +275,7 @@ def cmd_calibrate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, rest = _build_parser().parse_known_args(argv)
-    if args.command == "verify":
-        args.tol_overrides = _extract_tol_overrides(rest)
-    elif rest:
-        _fail_config(f"unrecognized arguments: {' '.join(rest)}")
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except FockLabError as exc:

@@ -2,21 +2,22 @@
 localization machinery for truncated Hermite/Fock coefficient vectors.
 
 Everything diagonal lives on the eigenvalue array lam_alpha = 2|alpha| + n.
-The square-function and kappa constants are one-dimensional integrals over
-the semigroup parameter, computed by adaptive quadrature after the
-substitution u = e^v (the integrand behaves like u^(4K-1-2s) at 0 and
-u^(-1-2s) at infinity, both tamed by the substitution).
+The square-function constant c_{s,K} has two routes that share no code: a
+closed Gamma-function sum (``smoothing_constant``) and adaptive quadrature
+over the semigroup parameter after t = e^v (``kappa_constant`` and the
+eigenvalue table behind ``square_function_norm_direct``).
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
 
 from .errors import AccuracyWarning, DivergenceError, GridMismatchError
 from .hermite import (
@@ -117,58 +118,61 @@ def weighted_fock_norm(v: SpectralVector, s: float, grid2n: QuadratureGrid) -> f
     return math.sqrt(raw / normalizer)
 
 
-def _log_one_minus_exp_sq(v: float) -> float:
-    """log(1 - e^{-e^{2v}}), stable across the whole line."""
-    if v > 18.0:  # e^{-u^2} underflows; the bracket is exactly 1
-        return 0.0
-    if v < -20.0:  # 1 - e^{-u^2} = u^2 to machine precision
-        return 2.0 * v
-    return math.log(-math.expm1(-math.exp(2.0 * v)))
-
-
-def _psi_squared_log(v: float, s: float, K: int) -> float:
-    # integrand after u = e^v: e^{-2sv} (1 - e^{-e^{2v}})^{2K}, in log space so
-    # the two factors never over/underflow separately
-    expo = -2.0 * s * v + 2.0 * K * _log_one_minus_exp_sq(v)
-    return math.exp(expo)
-
-
 def smoothing_constant(s: float, K: int) -> float:
-    """c_{s,K} = [ Int_0^inf (1 - e^{-u^2})^{2K} u^{-1-2s} du ]^(1/2).
+    """c_{s,K} = [ Int_0^inf (1 - e^{-u^2})^{2K} u^{-1-2s} du ]^(1/2), in closed form.
 
-    Computed by adaptive quadrature after u = e^v, split at u = 1.
-    Diverges outside 0 < s < 2K and raises ``DivergenceError`` there.
+    Termwise Gamma integrals give c^2 = 1/2 Gamma(-s) Sigma_{j=1}^{2K} C(2K,j) (-1)^j j^s.
+    With k = round(s), d = s - k and the reflection formula this is
+    c^2 = 1/2 (-1)^{k+1} Gamma(1-d) S / Prod_{i=1}^k (i+d), where S = Sigma/d,
+    or its limit Sigma C(2K,j) (-1)^j j^k ln j at d = 0.  The alternating sum
+    cancels in double precision (c^2 < 0 for K >= 10), so S is formed with
+    60 + 2K log10(4K) decimal digits (the largest term has 2K log10(4K)).
+    Raises ``DivergenceError`` outside 0 < s < 2K.
     """
     if K < 1 or not 0.0 < s < 2.0 * K:
         raise DivergenceError(
             f"smoothing constant diverges unless 0 < s < 2K; got s={s}, K={K}")
-    lo = -745.0 / max(4.0 * K - 2.0 * s, 1e-3)
-    hi = 745.0 / (2.0 * s)
-    i1 = quad(_psi_squared_log, lo, 0.0, args=(s, K), epsabs=1e-13, epsrel=1e-12, limit=500)[0]
-    i2 = quad(_psi_squared_log, 0.0, hi, args=(s, K), epsabs=1e-13, epsrel=1e-12, limit=500)[0]
-    return math.sqrt(i1 + i2)
+    k = round(s)
+    with localcontext() as ctx:
+        ctx.prec = 60 + math.ceil(2 * K * math.log10(4 * K))
+        d = Decimal(s) - k
+        terms = [(-1) ** j * math.comb(2 * K, j) for j in range(1, 2 * K + 1)]
+        if d:
+            S = sum(c * Decimal(j) ** Decimal(s) for j, c in enumerate(terms, 1)) / d
+        else:
+            S = sum(c * j ** k * Decimal(j).ln() for j, c in enumerate(terms, 1))
+        S /= math.prod(i + d for i in range(1, k + 1))
+        return math.sqrt(0.5 * (-1) ** (k + 1) * math.gamma(1.0 - float(d)) * float(S))
+
+
+def _semigroup_integrals(lam: np.ndarray, s: float, K: int) -> np.ndarray:
+    """I(lam) = Int_0^inf (1 - e^{-t^2 lam})^{2K} t^{-1-2s} dt for each lam, by quadrature.
+
+    After t = e^v the integrand is e^{-2sv} (1 - e^{-e^{2(v+h)}})^{2K}, h = log(lam)/2,
+    formed in log space.  Past v + h = 18 the bracket is 1 and below -20 it is
+    e^{2(v+h)}, to double precision, so both tails are pure exponentials.
+    """
+    if K < 1 or not 0.0 < s < 2.0 * K:
+        raise DivergenceError(
+            f"square-function integral diverges unless 0 < s < 2K; got s={s}, K={K}")
+    h = 0.5 * np.log(lam)
+    a, b = -20.0 - h.max(), 18.0 - h.min()
+
+    def integrand(v: float) -> np.ndarray:
+        return np.exp(-2.0 * s * v + 2.0 * K * np.log(-np.expm1(-np.exp(2.0 * (v + h)))))
+
+    body = quad_vec(integrand, a, b, epsabs=0.0, epsrel=1e-13, norm="max", limit=2000)[0]
+    lower = np.exp(4.0 * K * h + (4.0 * K - 2.0 * s) * a) / (4.0 * K - 2.0 * s)
+    return body + lower + math.exp(-2.0 * s * b) / (2.0 * s)
 
 
 def kappa_constant(s: float, K: int) -> float:
     """kappa = [ Int_0^inf |psi(t)|^2 dt/t ]^(1/2) with psi(t) = t^{-s}(1-e^{-t^2})^K.
 
-    Identical in value to ``smoothing_constant`` (relabel the integration
-    variable); kept as a separate integral expression so the equality is a
-    real two-route check.  Fires ``DivergenceError`` outside 0 < s < 2K.
+    Equal to ``smoothing_constant`` (relabel the variable) but computed by
+    quadrature, so the equality is a real two-route check.  Requires 0 < s < 2K.
     """
-    if K < 1 or not 0.0 < s < 2.0 * K:
-        raise DivergenceError(
-            f"kappa diverges unless 0 < s < 2K; got s={s}, K={K}")
-
-    def integrand(v: float) -> float:
-        # t = e^v: psi(t)^2 dt/t = e^{-2sv} (1-e^{-e^{2v}})^{2K} dv
-        return math.exp(-2.0 * s * v + 2.0 * K * _log_one_minus_exp_sq(v))
-
-    lo = -745.0 / max(4.0 * K - 2.0 * s, 1e-3)
-    hi = 745.0 / (2.0 * s)
-    i1 = quad(integrand, lo, 0.0, epsabs=1e-13, epsrel=1e-12, limit=500)[0]
-    i2 = quad(integrand, 0.0, hi, epsabs=1e-13, epsrel=1e-12, limit=500)[0]
-    return math.sqrt(i1 + i2)
+    return math.sqrt(_semigroup_integrals(np.ones(1), s, K)[0])
 
 
 def square_function_norm(v: SpectralVector, s: float, K: int) -> float:
@@ -183,28 +187,23 @@ def square_function_norm(v: SpectralVector, s: float, K: int) -> float:
     return c * float(np.sqrt(np.sum(lam ** s * np.abs(v.coeffs) ** 2)))
 
 
+@lru_cache(maxsize=None)
+def _eigenvalue_integrals(s: float, K: int, n: int, N: int) -> np.ndarray:
+    """I(lam_alpha) in graded order, one quadrature per distinct eigenvalue."""
+    lam, inv = np.unique(eigenvalues(n, N), return_inverse=True)
+    table = _semigroup_integrals(lam, s, K)[inv]
+    table.setflags(write=False)
+    return table
+
+
 def square_function_norm_direct(v: SpectralVector, s: float, K: int) -> float:
-    """Independent route: quadrature of  Int_0^inf Sigma_a |c_a|^2 (1-e^{-t^2 lam_a})^{2K} dt/t^{1+2s}.
+    """Independent route: [ Sigma_a |c_a|^2 Int_0^inf (1-e^{-t^2 lam_a})^{2K} dt/t^{1+2s} ]^(1/2).
 
-    Shares no code with the closed-form route; used to check it.
+    The t-integrals are tabulated by quadrature once per (s, K, n, N); no
+    closed form enters.  Requires 0 < s < 2K.
     """
-    if K < 1 or not 0.0 < s < 2.0 * K:
-        raise DivergenceError(
-            f"square function diverges unless 0 < s < 2K; got s={s}, K={K}")
-    lam = eigenvalues(v.dim, v.truncation)
-    c2 = np.abs(v.coeffs) ** 2
-    loglam = np.log(lam)
-
-    def integrand(vv: float) -> float:
-        # per eigenvalue: e^{-2s vv} (1 - e^{-lam e^{2 vv}})^{2K}, via logs
-        logb = np.array([_log_one_minus_exp_sq(vv + 0.5 * ll) for ll in loglam])
-        return float(np.sum(c2 * np.exp(-2.0 * s * vv + 2.0 * K * logb)))
-
-    lo = -745.0 / max(4.0 * K - 2.0 * s, 1e-3)
-    hi = 745.0 / (2.0 * s)
-    i1 = quad(integrand, lo, 0.0, epsabs=1e-13, epsrel=1e-11, limit=500)[0]
-    i2 = quad(integrand, 0.0, hi, epsabs=1e-13, epsrel=1e-11, limit=500)[0]
-    return math.sqrt(i1 + i2)
+    table = _eigenvalue_integrals(s, K, v.dim, v.truncation)
+    return math.sqrt(float(np.sum(np.abs(v.coeffs) ** 2 * table)))
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)

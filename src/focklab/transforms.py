@@ -177,21 +177,25 @@ def _fock_map_selftest() -> bool:
     normalization the Fock map diagonalizes."""
     g2 = gauss_hermite(48, 2.0, 1)
     z = np.array([0.35 + 0.2j, -0.6 + 0.45j, 1.0])
-    got = _bargmann_quad_1d(lambda y: hermite_axis_table(0, y, Convention.BARGMANN_H)[0], z, g2)
+    got = _fock_map(lambda y: hermite_axis_table(0, y, Convention.BARGMANN_H)[0], z[:, None], g2)
     if np.abs(got - 1.0).max() > 1e-10:
         raise CalibrationError("Fock-map self-test failed: hh_0 did not map to e_0")
-    got0 = _bargmann_quad_1d(lambda y: hermite_axis_table(0, y, Convention.PAPER_H)[0], z, g2)
+    got0 = _fock_map(lambda y: hermite_axis_table(0, y, Convention.PAPER_H)[0], z[:, None], g2)
     c = (2.0 / math.pi) ** 0.25 * math.pi ** -0.25 * math.sqrt(2.0 * math.pi / 3.0)
     if np.abs(got0 - c * np.exp(z * z / 6.0)).max() > 1e-10:
         raise CalibrationError("Fock-map self-test failed: paper-h ground state shape")
     return True
 
 
-def _bargmann_quad_1d(f, z: np.ndarray, grid2: QuadratureGrid) -> np.ndarray:
-    W = grid2.loaded_weights(1.0)  # w2 * e^{y^2}: the integrand keeps e^{-y^2} decay
-    y = grid2.nodes[:, 0]
-    ker = np.exp(2.0 * np.multiply.outer(z, y) - 0.5 * np.expand_dims(z * z, -1))
-    return (2.0 / math.pi) ** 0.25 * (ker @ (W * np.asarray(f(y), dtype=complex)))
+def _fock_map(f, z: np.ndarray, grid2: QuadratureGrid) -> np.ndarray:
+    """(2/pi)^{n/4} Sigma_y W e^{2 z.y - z.z/2} f(y) at the (m, n) points z;
+    ``f`` gets the nodes as (Q, n), or as (Q,) when n = 1."""
+    n = grid2.dim
+    W = grid2.loaded_weights(1.0)  # w2 * e^{|y|^2}: the integrand keeps e^{-|y|^2} decay
+    y = grid2.nodes
+    ker = np.exp(2.0 * (z @ y.T) - 0.5 * np.sum(z * z, axis=1)[:, None])
+    vals = np.asarray(f(y if n > 1 else y[:, 0]), dtype=complex)
+    return (2.0 / math.pi) ** (n / 4) * (ker @ (W * vals))
 
 
 def bargmann_quadrature(f, z, grid2: QuadratureGrid) -> np.ndarray:
@@ -206,19 +210,8 @@ def bargmann_quadrature(f, z, grid2: QuadratureGrid) -> np.ndarray:
     _fock_map_selftest()
     n = grid2.dim
     z = np.asarray(z, dtype=complex)
-    single = z.ndim == 0 or (n > 1 and z.ndim == 1)
-    if single:
-        z = z.reshape(1, -1) if n > 1 else z.reshape(1)
-    if n == 1:
-        out = _bargmann_quad_1d(f, z, grid2)
-        return out[0] if single else out
-    W = grid2.loaded_weights(1.0)
-    y = grid2.nodes
-    zz = np.sum(z * z, axis=1)
-    ker = np.exp(2.0 * (z @ y.T) - 0.5 * zz[:, None])
-    vals = np.asarray(f(y), dtype=complex)
-    out = (2.0 / math.pi) ** (n / 4) * (ker @ (W * vals))
-    return out[0] if single else out
+    shape = z.shape if n == 1 else z.shape[:-1]
+    return _fock_map(f, z.reshape(-1, n), grid2).reshape(shape)[()]  # 0-d -> scalar
 
 
 def bargmann(v: SpectralVector) -> SpectralVector:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focklab.cli import _build_parser, _extract_tol_overrides, main
+from focklab.cli import _build_parser, main
 from focklab.reporting import strip_timing
 from focklab.verify import CHECK_IDS, CHECKS, TOLERANCES, VerifyContext
 
@@ -253,6 +253,17 @@ def test_export_identity_diagonal(tmp_path):
     assert np.all(np.diag(M.entries) == 1.0)
 
 
+@pytest.mark.parametrize("selector", ["multiplier:bump", "conjugated:bump"])
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_export_multiplier_is_one_dimensional(tmp_path, capsys, selector, n):
+    out = tmp_path / "m.mat"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("export", "--matrix", selector, "--n", n, "--N", "8", "--out", str(out))
+    assert exc.value.code == 2
+    assert "n=1 only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_unknown_selector(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("export", "--matrix", "hadamard", "--N", "8",
@@ -283,11 +294,7 @@ def test_documented_command_lines_parse():
     assert {argv[0] for argv in readme_argvs} == {"verify", "symbol", "probe", "export",
                                                   "calibrate"}
     for argv in readme_argvs + _command_lines(_build_parser().epilog):
-        args, rest = _build_parser().parse_known_args(argv)
-        if args.command == "verify":
-            assert set(_extract_tol_overrides(rest)) <= set(TOLERANCES), argv
-        else:
-            assert rest == [], argv
+        _build_parser().parse_args(argv)  # exits 2 on any undeclared option
 
 
 def test_calibration_env_override(tmp_path, monkeypatch):

@@ -155,6 +155,34 @@ class TestSquareFunction:
             lhs = square_function_norm(fractional_H(v, -0.5), 1.0, 1)
             assert lhs <= kap * v.norm() * (1 + 1e-10)
 
+    @pytest.mark.parametrize("s,K", [
+        (s, K) for K in (1, 2, 3, 8, 16)
+        for s in sorted({1e-3, 0.5, 2 * K - 1e-6}
+                        | {k + d for k in {1, K, 2 * K - 1} for d in (-1e-6, 0.0, 1e-6)})])
+    def test_constants_against_gamma_sum(self, s, K):
+        # c^2 = 1/2 Gamma(-s) Sigma_j C(2K,j) (-1)^j j^s in 90-digit arithmetic;
+        # at integer s the pole meets a zero of the sum and leaves the ln j sum
+        with mp.workdps(90):
+            sm = mp.mpf(s)
+            terms = [(-1) ** j * mp.binomial(2 * K, j) for j in range(1, 2 * K + 1)]
+            if sm == int(sm):
+                k = int(sm)
+                c2 = (-1) ** (k + 1) / (2 * mp.factorial(k)) * mp.fsum(
+                    t * mp.mpf(j) ** k * mp.log(j) for j, t in enumerate(terms, 1))
+            else:
+                c2 = mp.gamma(-sm) / 2 * mp.fsum(
+                    t * mp.mpf(j) ** sm for j, t in enumerate(terms, 1))
+            want = float(mp.sqrt(c2))
+        assert smoothing_constant(s, K) == pytest.approx(want, rel=1e-13)
+        assert kappa_constant(s, K) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("s,K", [(1e-3, 1), (0.5, 1), (2 - 1e-6, 1), (3.0, 2)])
+    def test_direct_route_with_repeated_eigenvalues(self, s, K):
+        # n = 2: each eigenvalue 2|alpha| + 2 repeats |alpha| + 1 times
+        v = random_vector(2, 8, Convention.PAPER_H, 17)
+        assert square_function_norm_direct(v, s, K) \
+            == pytest.approx(square_function_norm(v, s, K), rel=1e-12)
+
 
 class TestWeightedFockNorm:
     def test_constant_is_one(self, grid_c):
