@@ -3,9 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from focklab.hermite import Convention
-from focklab.matio import MAGIC, read_matrix, write_matrix
-from focklab.transforms import weyl_matrix
+from focklab import matio
+from focklab.hermite import Convention, index_count
+from focklab.matio import MAGIC, VERSION, read_matrix, write_matrix
+from focklab.multipliers import parse_multiplier
+from focklab.operators import conjugated_multiplier_matrix
+from focklab.transforms import OperatorMatrix, weyl_matrix
 from focklab.errors import FockLabError
 
 
@@ -34,13 +37,99 @@ def test_csv_roundtrip_full_precision(tmp_path):
     p = tmp_path / "w.csv"
     write_matrix(p, M, fmt="csv")
     R = read_matrix(p)
-    assert np.array_equal(R.entries, M.entries)  # repr round-trips floats exactly
+    assert R.entries.tobytes() == M.entries.tobytes()  # repr round-trips floats exactly
+
+
+@pytest.mark.parametrize("build", [
+    lambda: weyl_matrix(np.full(3, -1.27 + 0j), 4),
+    lambda: conjugated_multiplier_matrix(parse_multiplier("chirp43"), 128),
+], ids=["weyl:-1.27:n=3:N=4", "conjugated:chirp43:N=128"])
+def test_csv_readback_keeps_signed_zeros(tmp_path, build):
+    M = build()
+    neg_zero = (M.entries.view(np.float64) == 0) & np.signbit(M.entries.view(np.float64))
+    assert neg_zero.any()
+    write_matrix(tmp_path / "m.mat", M)
+    write_matrix(tmp_path / "m.csv", M, fmt="csv")
+    B, C = read_matrix(tmp_path / "m.mat"), read_matrix(tmp_path / "m.csv")
+    assert C.entries.tobytes() == B.entries.tobytes() == M.entries.tobytes()
+
+
+@pytest.mark.parametrize("block", [matio._CSV_BLOCK, 5])
+def test_csv_writer_format(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(matio, "_CSV_BLOCK", block)
+    vals = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1 / 3, -1 / 3, 0.1, 1e16, -0.0]
+    count = index_count(1, 3)
+    flat = np.resize(np.array(vals), 2 * count * count)
+    ent = flat.view(np.complex128).reshape(count, count)
+    M = OperatorMatrix(3, 1, ent, Convention.PAPER_H, s_domain=0.5, s_codomain=-0.0)
+    p = tmp_path / "m.csv"
+    write_matrix(p, M, fmt="csv")
+    want = [f"# focklab-mat version={VERSION} n=1 N=3 s_domain=0.5 s_codomain=-0.0 "
+            "convention=paper-h", "row,col,re,im"]
+    for i in range(count):
+        for j in range(count):
+            re, im = float(ent[i, j].real), float(ent[i, j].imag)
+            want.append(f"{i},{j},{re!r},{im!r}")
+    assert p.read_text() == "\n".join(want) + "\n"
+    assert read_matrix(p).entries.tobytes() == ent.tobytes()
+
+
+def _csv_lines(tmp_path):
+    M = weyl_matrix(0.3 - 0.7j, 6)
+    p = tmp_path / "w.csv"
+    write_matrix(p, M, fmt="csv")
+    return p, p.read_text().splitlines(keepends=True)
+
+
+def test_csv_rejects_other_version(tmp_path):
+    p, lines = _csv_lines(tmp_path)
+    lines[0] = lines[0].replace(f"version={VERSION}", "version=7")
+    p.write_text("".join(lines))
+    with pytest.raises(FockLabError, match="version 7"):
+        read_matrix(p)
+
+
+def test_csv_rejects_missing_records(tmp_path):
+    p, lines = _csv_lines(tmp_path)
+    p.write_text("".join(lines[:-10]))
+    with pytest.raises(FockLabError, match="records"):
+        read_matrix(p)
+
+
+@pytest.mark.parametrize("field", [0, 1])
+@pytest.mark.parametrize("bad", ["7", "-1", "2.5"])
+def test_csv_rejects_index_out_of_range(tmp_path, field, bad):
+    p, lines = _csv_lines(tmp_path)  # N=6: indices 0..6
+    rec = lines[-1].split(",")
+    rec[field] = bad
+    lines[-1] = ",".join(rec)
+    p.write_text("".join(lines))
+    with pytest.raises(FockLabError, match="index"):
+        read_matrix(p)
+
+
+@pytest.mark.parametrize("line, edit", [
+    (0, lambda t: t.replace(" convention=fock", "")),
+    (1, lambda t: "i,j,re,im\n"),
+    (-1, lambda t: "6,6,abc,0.0\n"),
+], ids=["header-key", "column-line", "record"])
+def test_csv_rejects_malformed(tmp_path, line, edit):
+    p, lines = _csv_lines(tmp_path)
+    lines[line] = edit(lines[line])
+    p.write_text("".join(lines))
+    with pytest.raises(FockLabError):
+        read_matrix(p)
+
+
+def test_csv_rejects_duplicate_record(tmp_path):
+    p, lines = _csv_lines(tmp_path)
+    lines[-1] = lines[2]
+    p.write_text("".join(lines))
+    with pytest.raises(FockLabError, match="no record"):
+        read_matrix(p)
 
 
 def test_identity_export(tmp_path):
-    from focklab.hermite import index_count
-    from focklab.transforms import OperatorMatrix
-
     count = index_count(1, 8)
     M = OperatorMatrix(8, 1, np.eye(count, dtype=complex), Convention.FOCK)
     p = tmp_path / "id.mat"
