@@ -329,10 +329,6 @@ class SpectralVector:
         return replace(self, coeffs=coeffs, truncation_loss=loss)
 
     @staticmethod
-    def zero(n: int, N: int, convention: Convention) -> "SpectralVector":
-        return SpectralVector(n, N, convention, np.zeros(index_count(n, N), dtype=complex))
-
-    @staticmethod
     def unit(n: int, N: int, convention: Convention, alpha) -> "SpectralVector":
         key = (alpha,) if isinstance(alpha, int) else tuple(alpha)
         c = np.zeros(index_count(n, N), dtype=complex)

@@ -94,14 +94,20 @@ def read_matrix(path: Path | str) -> OperatorMatrix:
 
 
 def _read_binary(blob: bytes) -> OperatorMatrix:
+    if len(blob) < _HEADER.size:
+        raise FockLabError(
+            f"matrix file has {len(blob)} bytes, fewer than its {_HEADER.size}-byte header")
     magic, version, n, N, sd, sc, code = _HEADER.unpack_from(blob, 0)
     if version != VERSION:
         raise FockLabError(f"unsupported matrix file version {version}")
+    if code not in _CONV:
+        raise FockLabError(f"unknown matrix convention code {code}")
     count = index_count(n, N)
-    body = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    if body.size != count * count:
+    payload = len(blob) - _HEADER.size
+    if payload != 16 * count * count:
         raise FockLabError(
-            f"matrix payload has {body.size} entries, expected {count * count}")
+            f"matrix payload has {payload} bytes, expected {16 * count * count}")
+    body = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
     return OperatorMatrix(N, n, body.reshape(count, count).astype(np.complex128),
                           _CONV[code], s_domain=sd, s_codomain=sc)
 

@@ -6,17 +6,22 @@ The square-function constant c_{s,K} has two routes that share no code: a
 closed Gamma-function sum (``smoothing_constant``) and adaptive quadrature
 over the semigroup parameter after t = e^v (``kappa_constant`` and the
 eigenvalue table behind ``square_function_norm_direct``).
+
+Localization uses ``PartitionBump``, a tensor product of one closed-form
+C^inf axis profile built from a smooth step; ``localization_norm`` re-projects
+every localized piece f eta_m in one product against the bump table over all
+lattice cells.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad_vec
 
 from .errors import AccuracyWarning, DivergenceError, GridMismatchError
@@ -151,6 +156,9 @@ def _semigroup_integrals(lam: np.ndarray, s: float, K: int) -> np.ndarray:
     After t = e^v the integrand is e^{-2sv} (1 - e^{-e^{2(v+h)}})^{2K}, h = log(lam)/2,
     formed in log space.  Past v + h = 18 the bracket is 1 and below -20 it is
     e^{2(v+h)}, to double precision, so both tails are pure exponentials.
+    Each component is integrated as lam^{-s} I(lam), which is of order one for
+    every lam, so the max-norm error control of ``quad_vec`` holds entry by
+    entry; the factor lam^s is put back at the end.
     """
     if K < 1 or not 0.0 < s < 2.0 * K:
         raise DivergenceError(
@@ -159,11 +167,13 @@ def _semigroup_integrals(lam: np.ndarray, s: float, K: int) -> np.ndarray:
     a, b = -20.0 - h.max(), 18.0 - h.min()
 
     def integrand(v: float) -> np.ndarray:
-        return np.exp(-2.0 * s * v + 2.0 * K * np.log(-np.expm1(-np.exp(2.0 * (v + h)))))
+        u = 2.0 * (v + h)
+        return np.exp(-s * u + 2.0 * K * np.log(-np.expm1(-np.exp(u))))
 
     body = quad_vec(integrand, a, b, epsabs=0.0, epsrel=1e-13, norm="max", limit=2000)[0]
-    lower = np.exp(4.0 * K * h + (4.0 * K - 2.0 * s) * a) / (4.0 * K - 2.0 * s)
-    return body + lower + math.exp(-2.0 * s * b) / (2.0 * s)
+    lower = np.exp((4.0 * K - 2.0 * s) * (a + h)) / (4.0 * K - 2.0 * s)
+    upper = np.exp(-2.0 * s * (b + h)) / (2.0 * s)
+    return lam ** s * (body + lower + upper)
 
 
 def kappa_constant(s: float, K: int) -> float:
@@ -206,15 +216,17 @@ def square_function_norm_direct(v: SpectralVector, s: float, K: int) -> float:
     return math.sqrt(float(np.sum(np.abs(v.coeffs) ** 2 * table)))
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+def _smooth_step(t) -> np.ndarray:
+    """Phi(t) = f(1/2+t) / (f(1/2+t) + f(1/2-t)) with f(u) = e^{-1/u} for u > 0, else 0.
 
-
-def _mollifier(y: np.ndarray) -> np.ndarray:
-    u = 1.0 - 4.0 * y * y
-    out = np.zeros_like(u)
-    mask = u > 0
-    out[mask] = np.exp(-1.0 / u[mask])
-    return out
+    C^inf and nondecreasing; 0 for t <= -1/2, 1 for t >= 1/2 and 1/2 at t = 0,
+    all three exactly in floating point.  Its derivative is a unit-mass C^inf
+    mollifier supported on [-1/2, 1/2].
+    """
+    u = np.clip(0.5 + np.asarray(t, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        a, b = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+    return a / (a + b)
 
 
 @dataclass(frozen=True)
@@ -222,137 +234,72 @@ class PartitionBump:
     """Smooth cutoff with plateau {|x|_inf <= 1}, support {|x|_inf <= 2},
     whose integer translates sum to the constant c0 = 3^n.
 
-    Construction: the indicator of {|x|_inf <= 3/2} convolved with a
-    compactly supported mollifier of radius 1/2 (tensorized per axis).  The
-    indicator translates tile the line with constant sum 3, and convolution
-    against a unit-mass kernel preserves that sum exactly, so the partition
-    identity holds structurally, not just numerically.
+    Per axis, eta(x) = Phi(x + 3/2) - Phi(x - 3/2) with ``_smooth_step`` Phi:
+    the indicator of [-3/2, 3/2] convolved with the mollifier Phi'.  In n
+    dimensions eta is the product of the axis profiles.  The translates
+    telescope, Sigma_m [Phi(x+m+3/2) - Phi(x+m-3/2)] = 3 per axis, so the
+    partition identity holds structurally, not just numerically; the plateau,
+    the support and eta(+-3/2) = 1/2 hold exactly.
     """
 
     dim: int = 1
-    panels: int = 2048
-    _knots: np.ndarray = field(init=False, repr=False, compare=False)
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    _mass: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        knots = np.linspace(-0.5, 0.5, self.panels + 1)
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        half = 0.5 * (knots[1:] - knots[:-1])
-        pts = mids[:, None] + half[:, None] * _GL_NODES[None, :]
-        panel_ints = (_mollifier(pts) @ _GL_WEIGHTS) * half
-        cdf = np.concatenate([[0.0], np.cumsum(panel_ints)])
-        mass = float(cdf[-1])
-        cdf = cdf / mass
-        knots.setflags(write=False)
-        cdf.setflags(write=False)
-        object.__setattr__(self, "_knots", knots)
-        object.__setattr__(self, "_cdf", cdf)
-        object.__setattr__(self, "_mass", mass)
 
     @property
     def c0(self) -> float:
         return 3.0 ** self.dim
 
-    def _cdf_at(self, t: np.ndarray) -> np.ndarray:
-        # exact partial-panel Gauss-Legendre on top of the cumulative table
-        t = np.clip(np.asarray(t, dtype=float), -0.5, 0.5)
-        i = np.clip(np.searchsorted(self._knots, t, side="right") - 1, 0, self.panels - 1)
-        a = self._knots[i]
-        half = 0.5 * (t - a)
-        pts = (a + half)[..., None] + half[..., None] * _GL_NODES
-        partial = (_mollifier(pts) @ _GL_WEIGHTS) * half / self._mass
-        return self._cdf[i] + partial
-
-    def eval_axis(self, x: np.ndarray) -> np.ndarray:
+    def eval_axis(self, x) -> np.ndarray:
+        """The one-dimensional profile eta(x), elementwise."""
         x = np.asarray(x, dtype=float)
-        return self._cdf_at(np.minimum(0.5, x + 1.5)) - self._cdf_at(np.maximum(-0.5, x - 1.5))
+        return _smooth_step(x + 1.5) - _smooth_step(x - 1.5)
 
     def __call__(self, x) -> np.ndarray:
-        """eta(x) for points of shape (m,) in 1D or (m, n)."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            return self.eval_axis(x if x.ndim == 1 else x[:, 0])
-        out = self.eval_axis(x[:, 0])
-        for j in range(1, self.dim):
-            out = out * self.eval_axis(x[:, j])
-        return out
+        """eta(x) for points of shape (m, n), or (m,) when n = 1."""
+        x = np.asarray(x, dtype=float).reshape(-1, self.dim)
+        return np.prod(self.eval_axis(x), axis=1)
 
-    def translate(self, x, m) -> np.ndarray:
-        """eta_m(x) = eta(x + m) for a lattice point m."""
-        x = np.asarray(x, dtype=float)
-        mv = np.atleast_1d(np.asarray(m, dtype=float))
-        if self.dim == 1:
-            return self.eval_axis((x if x.ndim == 1 else x[:, 0]) + mv[0])
-        return self(x + mv[None, :])
+    def partition_sum(self, x) -> np.ndarray:
+        """Sigma_m eta(x + m) over every lattice point m whose cell meets x."""
+        x = np.asarray(x, dtype=float).reshape(-1, self.dim)
+        K = int(np.ceil(np.abs(x).max())) + 3
+        return sum(self(x + np.array(m))
+                   for m in itertools.product(range(-K, K + 1), repeat=self.dim))
 
-    def partition_sum(self, x, lattice_radius: int | None = None) -> np.ndarray:
-        """Sigma_m eta_m(x) over |m|_inf <= lattice_radius (defaults to cover)."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            pts = x if x.ndim == 1 else x[:, 0]
-            K = lattice_radius or (int(np.ceil(np.abs(pts).max())) + 3)
-            return sum(self.eval_axis(pts + m) for m in range(-K, K + 1))
-        K = lattice_radius or (int(np.ceil(np.abs(x).max())) + 3)
-        out = np.zeros(x.shape[0])
-        for m in _lattice(self.dim, K):
-            out += self(x + np.asarray(m, dtype=float)[None, :])
-        return out
-
-    def squared_sum_range(self, samples: int = 20001) -> tuple[float, float]:
+    def squared_sum_range(self) -> tuple[float, float]:
         """min/max over one period of Sigma_m eta_m(x)^2 (1D axis); the s = 0
         localization ratio lies between the square roots of these."""
-        xs = np.linspace(0.0, 1.0, samples)
+        xs = np.linspace(0.0, 1.0, 20001)
         tot = sum(self.eval_axis(xs + m) ** 2 for m in range(-4, 5))
         return float(tot.min()), float(tot.max())
 
 
-def _lattice(n: int, K: int):
-    if n == 1:
-        for m in range(-K, K + 1):
-            yield (m,)
-    else:
-        for head in range(-K, K + 1):
-            for tail in _lattice(n - 1, K):
-                yield (head,) + tail
-
-
 def localization_norm(v: SpectralVector, s: float, bump: PartitionBump,
-                      lattice_radius: int, *, projection_pad: int = 24,
-                      grid: QuadratureGrid | None = None) -> float:
+                      lattice_radius: int) -> float:
     """[ Sigma_{|m|_inf <= M} || f eta_m ||_{s}^2 ]^(1/2) with f synthesized from v.
 
-    Each localized piece is re-projected at truncation N + projection_pad;
-    a warning fires when the boundary lattice cells carry more than 1e-6 of
-    the total (the cutoff M does not cover the function).
+    Every localized piece f eta_m is re-projected at truncation N + 24 in one
+    product against the (cells x nodes) table of eta_m; a warning fires when
+    the boundary lattice cells carry more than 1e-6 of the total (the cutoff
+    M does not cover the function).
     """
     if bump.dim != v.dim:
         raise ValueError(f"bump dimension {bump.dim} != vector dimension {v.dim}")
     if s < 0:
         raise ValueError(f"smoothness order must be >= 0, got {s}")
-    n, N = v.dim, v.truncation
-    N2 = N + projection_pad
+    n, N2, M = v.dim, v.truncation + 24, lattice_radius
     w = v.convention.weight_exponent
-    if grid is None:
-        grid = gauss_hermite(N2 + 24, float(w), n)
-    pts = grid.nodes if n > 1 else grid.nodes[:, 0]
-    fvals = synthesize(v, pts)
-    lam = eigenvalues(n, N2)
-    wg = grid.loaded_weights(0.5 * w)
+    grid = gauss_hermite(N2 + 24, float(w), n)
+    cells = np.array(list(itertools.product(range(-M, M + 1), repeat=n)), dtype=float)
+    E = bump(grid.nodes[None, :, :] + cells[:, None, :]).reshape(len(cells), -1)
     P = basis_table(n, N2, grid.nodes, v.convention, weightless=True)
-    total = 0.0
-    boundary = 0.0
-    for m in _lattice(n, lattice_radius):
-        evals = bump.translate(grid.nodes if n > 1 else pts, np.asarray(m))
-        coeffs = P @ (wg * fvals * evals)
-        cell = float(np.sum(lam ** s * np.abs(coeffs) ** 2))
-        total += cell
-        if max(abs(c) for c in m) == lattice_radius:
-            boundary += cell
+    coeffs = P @ (grid.loaded_weights(0.5 * w) * synthesize(v, grid.nodes) * E).T
+    cell = eigenvalues(n, N2) ** s @ np.abs(coeffs) ** 2
+    total = float(cell.sum())
+    boundary = float(cell[np.abs(cells).max(axis=1) == M].sum())
     if total > 0 and boundary > 1e-6 * total:
         warnings.warn(
             f"boundary lattice cells carry {boundary / total:.2e} of the localization "
-            f"sum; increase the lattice radius beyond {lattice_radius}", AccuracyWarning)
+            f"sum; increase the lattice radius beyond {M}", AccuracyWarning)
     return math.sqrt(total)
 
 

@@ -64,8 +64,8 @@ class OperatorMatrix:
 
     Column beta holds the coefficients of the image of basis_beta.  The
     smoothness tags record which weighted norms the matrix is meant to act
-    between; ``unitary_expected`` marks finite sections of unitaries, whose
-    defect is measured on the interior block.
+    between.  Finite sections of unitaries have their defect measured on the
+    interior block.
     """
 
     truncation: int
@@ -74,7 +74,6 @@ class OperatorMatrix:
     convention: Convention
     s_domain: float = 0.0
     s_codomain: float = 0.0
-    unitary_expected: bool = False
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.complex128)
@@ -244,11 +243,9 @@ def project_fock(F, N: int, grid2n: QuadratureGrid) -> SpectralVector:
     return SpectralVector(n, N, Convention.FOCK, (np.conj(E) * wts) @ vals)
 
 
-def _translation_axis(a: float, N: int, convention: Convention,
-                      order: int | None = None) -> np.ndarray:
+def _translation_axis(a: float, N: int, convention: Convention) -> np.ndarray:
     w = convention.weight_exponent
-    Q = order or (N + 16)
-    g = gauss_hermite(Q, float(w), 1)
+    g = gauss_hermite(N + 16, float(w), 1)
     x = g.nodes[:, 0]
     Pa = basis_table(1, N, x, convention, weightless=True)
     Pb = basis_table(1, N, x - a, convention, weightless=True)
@@ -257,25 +254,22 @@ def _translation_axis(a: float, N: int, convention: Convention,
     return (Pa * wt) @ Pb.T
 
 
-def translation_matrix(a, N: int, convention: Convention = Convention.BARGMANN_H,
-                       grid_order: int | None = None,
-                       defect_warn: float = 1e-4) -> OperatorMatrix:
+def translation_matrix(a, N: int,
+                       convention: Convention = Convention.BARGMANN_H) -> OperatorMatrix:
     """Matrix <tau_a basis_beta, basis_alpha> of translation by a in R^n.
 
     Built by one-dimensional quadrature per axis (translation factorizes)
-    with order N + 16 by default.  Tagged unitary-expected; warns when the
-    interior unitarity defect exceeds ``defect_warn`` (truncation too small
-    for this |a|).
+    of order N + 16.  Warns when the interior unitarity defect exceeds 1e-4
+    (truncation too small for this |a|).
     """
     if convention is Convention.FOCK:
         raise ValueError("translation acts on the real-line systems")
     av = np.atleast_1d(np.asarray(a, dtype=float))
     n = av.size
-    ent = _tensor_assemble([_translation_axis(float(x), N, convention, grid_order)
-                            for x in av], N)
-    M = OperatorMatrix(N, n, ent, convention, unitary_expected=True)
+    ent = _tensor_assemble([_translation_axis(float(x), N, convention) for x in av], N)
+    M = OperatorMatrix(N, n, ent, convention)
     d = M.unitarity_defect()
-    if d > defect_warn:
+    if d > 1e-4:
         warnings.warn(f"translation matrix unitarity defect {d:.2e} at N={N}, "
                       f"|a|={np.linalg.norm(av):.3g}; increase the truncation",
                       AccuracyWarning)
@@ -312,10 +306,10 @@ def weyl_matrix(a, N: int) -> OperatorMatrix:
     log-space prefactor (no quadrature)."""
     av = np.atleast_1d(np.asarray(a, dtype=complex))
     ent = _tensor_assemble([_weyl_axis(complex(x), N) for x in av], N)
-    return OperatorMatrix(N, av.size, ent, Convention.FOCK, unitary_expected=True)
+    return OperatorMatrix(N, av.size, ent, Convention.FOCK)
 
 
-def conjugation_check(a, N: int, grid_order: int | None = None) -> DefectReport:
+def conjugation_check(a, N: int) -> DefectReport:
     """Interior Frobenius defect between the translation matrix (real-line
     quadrature, bargmann-h) and the Weyl matrix (analytic, Fock side).
 
@@ -323,15 +317,14 @@ def conjugation_check(a, N: int, grid_order: int | None = None) -> DefectReport:
     identity Fock map, so the defect measures quadrature error only.
     """
     av = np.atleast_1d(np.asarray(a, dtype=float))
-    T = translation_matrix(av, N, Convention.BARGMANN_H, grid_order)
+    T = translation_matrix(av, N, Convention.BARGMANN_H)
     W = weyl_matrix(av.astype(complex), N)
     d = interior_frobenius(T.entries, W.entries, T.dim, N)
     return DefectReport("conjugation", d,
                         {"N": N, "a": av.tolist(), "block": interior_count(T.dim, N)})
 
 
-def translation_ladder_check(a, axis: int, v: SpectralVector,
-                             grid_order: int | None = None) -> DefectReport:
+def translation_ladder_check(a, axis: int, v: SpectralVector) -> DefectReport:
     """Defect of the first-order commutation  (d/dx_j + x_j) tau_a
     = tau_a [ (d/dx_j + x_j) + a_j ]  on the interior coefficients.
 
@@ -341,7 +334,7 @@ def translation_ladder_check(a, axis: int, v: SpectralVector,
     av = np.atleast_1d(np.asarray(a, dtype=float))
     if v.convention is not Convention.PAPER_H:
         v = replace(v, convention=Convention.PAPER_H)
-    T = translation_matrix(av, v.truncation, Convention.PAPER_H, grid_order)
+    T = translation_matrix(av, v.truncation, Convention.PAPER_H)
     lhs = ladder(v.with_coeffs(T.entries @ v.coeffs), "lower", axis)
     inner = ladder(v, "lower", axis).coeffs + av[axis - 1] * v.coeffs
     rhs = T.entries @ inner

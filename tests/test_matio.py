@@ -155,3 +155,19 @@ def test_rejects_garbage(tmp_path):
     p.write_bytes(b"not a matrix at all")
     with pytest.raises(FockLabError):
         read_matrix(p)
+
+
+_H = matio._HEADER.size
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda b: b[:-5], "payload"),
+    (lambda b: b[:_H - 1] + bytes([7]) + b[_H:], "convention code 7"),
+    (lambda b: b[:_H - 1], "header"),
+], ids=["entry-cut-short", "convention-byte-7", "header-cut-short"])
+def test_binary_rejects_malformed(tmp_path, edit, match):
+    p = tmp_path / "w.mat"
+    write_matrix(p, weyl_matrix(0.3 - 0.7j, 6))
+    p.write_bytes(edit(p.read_bytes()))
+    with pytest.raises(FockLabError, match=match):
+        read_matrix(p)

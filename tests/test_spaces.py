@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from focklab.errors import DivergenceError, GridMismatchError
-from focklab.hermite import Convention, SpectralVector, random_vector
+from focklab.hermite import Convention, SpectralVector, index_array, random_vector
 from focklab.spaces import (
     PartitionBump,
+    _eigenvalue_integrals,
+    _smooth_step,
     fractional_H,
     heat_kernel_value,
     heat_semigroup,
@@ -183,6 +185,13 @@ class TestSquareFunction:
         assert square_function_norm_direct(v, s, K) \
             == pytest.approx(square_function_norm(v, s, K), rel=1e-12)
 
+    def test_lowest_eigenvalue_entry_of_a_wide_table(self):
+        # lam runs up to 513 at N = 256, so lam^s spans 22 decades at this s;
+        # the lam = 1 entry must still be accurate relative to itself
+        s, K = 8 + 1e-6, 8
+        table = _eigenvalue_integrals(s, K, 1, 256)
+        assert table[0] == pytest.approx(smoothing_constant(s, K) ** 2, rel=1e-12)
+
 
 class TestWeightedFockNorm:
     def test_constant_is_one(self, grid_c):
@@ -224,14 +233,26 @@ class TestPartitionBump:
         rng = np.random.default_rng(5)
         xs = rng.uniform(-7, 7, 10_000)
         assert np.abs(b.partition_sum(xs) - 3.0).max() <= 1e-10
+        xs2 = rng.uniform(-5, 5, (2000, 2))
+        assert np.abs(PartitionBump(dim=2).partition_sum(xs2) - 9.0).max() <= 1e-12
 
-    def test_cdf_against_adaptive_quadrature(self):
-        b = PartitionBump()
-        rho = lambda y: math.exp(-1 / (1 - 4 * y * y)) if abs(y) < 0.5 else 0.0
-        Z = quad(rho, -0.5, 0.5, epsabs=1e-15)[0]
-        for t in (-0.41, -0.1, 0.07, 0.33, 0.49):
-            want = quad(rho, -0.5, t, epsabs=1e-15)[0] / Z
-            assert float(b._cdf_at(np.array([t]))[0]) == pytest.approx(want, abs=1e-12)
+    def test_smooth_step_against_quadrature_of_derivative(self):
+        # Phi = g/(g+h), g = e^{-1/(1/2+t)}, h = e^{-1/(1/2-t)}, so
+        # Phi' = g h [(1/2+t)^-2 + (1/2-t)^-2] / (g+h)^2 on |t| < 1/2.
+        def dphi(t):
+            p, q = 0.5 + t, 0.5 - t
+            if p <= 0 or q <= 0:
+                return 0.0
+            g, h = math.exp(-1 / p), math.exp(-1 / q)
+            return g * h * (p ** -2 + q ** -2) / (g + h) ** 2
+
+        assert quad(dphi, -0.5, 0.5, epsabs=1e-15)[0] == pytest.approx(1.0, abs=1e-13)
+        ts = np.array([-0.41, -0.1, 0.0, 0.07, 0.33, 0.49])
+        got = _smooth_step(ts)
+        for t, phi in zip(ts, got):
+            assert phi == pytest.approx(quad(dphi, -0.5, t, epsabs=1e-15)[0], abs=1e-12)
+        assert got[2] == 0.5
+        assert np.array_equal(_smooth_step(np.array([-3.0, -0.5, 0.5, 3.0])), [0, 0, 1, 1])
 
     def test_2d_tensor(self):
         b = PartitionBump(dim=2)
@@ -260,6 +281,21 @@ class TestLocalization:
             M = int(math.ceil(math.sqrt(2 * N + 1))) + 2
             rs.append(localization_norm(v, 1.0, b, M) / sobolev_norm(v, 1.0))
         assert max(rs) / min(rs) <= 1.05  # same underlying function
+
+    @pytest.mark.filterwarnings("error")
+    def test_separable_2d_factorizes_at_s0(self):
+        # f(x) g(y) localized by eta(x) eta(y): the cell norms factor, so the
+        # 2D sum is the product of the 1D sums up to the graded truncation
+        # |alpha| <= N + 24 of each piece (measured 1.4e-4)
+        f = random_vector(1, 12, Convention.PAPER_H, 3, band=3)
+        g = random_vector(1, 12, Convention.PAPER_H, 4, band=3)
+        alpha = index_array(2, 12)
+        fg = SpectralVector(2, 12, Convention.PAPER_H,
+                            f.coeffs[alpha[:, 0]] * g.coeffs[alpha[:, 1]])
+        b1 = PartitionBump()
+        two = localization_norm(fg, 0.0, PartitionBump(dim=2), 6)
+        one = localization_norm(f, 0.0, b1, 6) * localization_norm(g, 0.0, b1, 6)
+        assert abs(two / one - 1.0) <= 2e-4
 
     def test_boundary_warning(self):
         b = PartitionBump()
