@@ -13,13 +13,11 @@ from .errors import (
 )
 from .hermite import (
     Convention,
-    MultiIndex,
     QuadratureGrid,
     SpectralVector,
     convert_convention,
     eval_hermite,
     gauss_hermite,
-    graded_indices,
     index_count,
     ladder,
     project,

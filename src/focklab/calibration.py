@@ -160,10 +160,6 @@ def run_calibration(seed: int = 2718, verbose: bool = False) -> tuple[dict[str, 
     }
     for name, (vals, kind) in seqs.items():
         lf, mm = _growth_ratios(vals)
-        values[f"probe.{name}.last_first"] = lf
-        comments[f"probe.{name}.last_first"] = (
-            f"observed over N={list(Ns)}: values "
-            + ", ".join(f"{v:.4f}" for v in vals) + f" ({kind} reference)")
         if kind == "stable":
             stable_ratios.append(mm)
         else:

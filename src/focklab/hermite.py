@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_hermite
@@ -34,8 +34,6 @@ from .errors import EvaluationRangeError, GridMismatchError
 
 __all__ = [
     "Convention",
-    "MultiIndex",
-    "graded_indices",
     "index_array",
     "index_count",
     "index_position",
@@ -80,63 +78,24 @@ class Convention(Enum):
         raise ValueError("fock vectors have no real-line Gaussian weight")
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """alpha in N_0^n with its order |alpha| and factorial alpha!."""
-
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.components or any(c < 0 for c in self.components):
-            raise ValueError(f"multi-index components must be non-negative: {self.components}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    @property
-    def order(self) -> int:
-        return sum(self.components)
-
-    @property
-    def factorial(self) -> int:
-        out = 1
-        for c in self.components:
-            out *= math.factorial(c)
-        return out
-
-    def __iter__(self):
-        return iter(self.components)
-
-
 @lru_cache(maxsize=None)
-def graded_indices(n: int, N: int) -> tuple[MultiIndex, ...]:
-    """All alpha with |alpha| <= N, graded by |alpha| then lexicographic.
+def index_array(n: int, N: int) -> np.ndarray:
+    """All alpha in N_0^n with |alpha| <= N as an immutable (count, n) int array,
+    graded by |alpha|, lexicographic within each grade.
 
     The enumeration is total, duplicate-free and nondecreasing in |alpha|;
     every truncated object in the package is laid out in this order.
     """
     if n < 1 or N < 0:
         raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
-    out: list[MultiIndex] = []
-
-    def compositions(total: int, slots: int) -> Iterable[tuple[int, ...]]:
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in compositions(total - head, slots - 1):
-                yield (head,) + tail
-
-    for degree in range(N + 1):
-        out.extend(MultiIndex(c) for c in sorted(compositions(degree, n)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def index_array(n: int, N: int) -> np.ndarray:
-    """Graded enumeration as an immutable (count, n) int array."""
-    arr = np.array([idx.components for idx in graded_indices(n, N)], dtype=np.int64)
+    rows = np.arange(N + 1, dtype=np.int64).reshape(-1, 1)
+    for _ in range(n - 1):
+        # append one coordinate: each row takes the values 0..N-|row| in turn, so
+        # the rows stay lexicographic
+        room = N + 1 - rows.sum(axis=1)
+        start = np.repeat(np.cumsum(room) - room, room)
+        rows = np.column_stack([np.repeat(rows, room, axis=0), np.arange(start.size) - start])
+    arr = rows[np.argsort(rows.sum(axis=1), kind="stable")]
     arr.setflags(write=False)
     return arr
 
@@ -147,7 +106,7 @@ def index_count(n: int, N: int) -> int:
 
 @lru_cache(maxsize=None)
 def index_position(n: int, N: int) -> dict[tuple[int, ...], int]:
-    return {idx.components: i for i, idx in enumerate(graded_indices(n, N))}
+    return {tuple(a): i for i, a in enumerate(index_array(n, N).tolist())}
 
 
 @dataclass(frozen=True)
@@ -180,18 +139,17 @@ class QuadratureGrid:
         return self.nodes[:, :m] + 1j * self.nodes[:, m:]
 
 
-def gauss_hermite(order: int, scale: float = 1.0, dim: int = 1,
-                  max_order: int = MAX_QUADRATURE_ORDER) -> QuadratureGrid:
+def gauss_hermite(order: int, scale: float = 1.0, dim: int = 1) -> QuadratureGrid:
     """Gauss-Hermite rule integrating g against exp(-scale*|x|^2) over R^dim.
 
     Nodes of the scaled rule are the unit-scale nodes divided by sqrt(scale),
-    weights divided by scale^(dim/2).  Orders beyond ``max_order`` are
+    weights divided by scale^(dim/2).  Orders beyond MAX_QUADRATURE_ORDER are
     rejected; node-solver accuracy is not guaranteed there.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if order > max_order:
-        raise ValueError(f"order {order} exceeds configured maximum {max_order}")
+    if order > MAX_QUADRATURE_ORDER:
+        raise ValueError(f"order {order} exceeds the maximum {MAX_QUADRATURE_ORDER}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     if dim < 1:
@@ -200,14 +158,10 @@ def gauss_hermite(order: int, scale: float = 1.0, dim: int = 1,
     rt = math.sqrt(scale)
     ax = x / rt
     aw = w / rt
-    if dim == 1:
-        nodes = ax.reshape(-1, 1)
-        weights = aw.copy()
-    else:
-        mesh = np.meshgrid(*([ax] * dim), indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=1)
-        wmesh = np.meshgrid(*([aw] * dim), indexing="ij")
-        weights = np.prod(np.stack([m.ravel() for m in wmesh], axis=1), axis=1)
+    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=1)
+    wmesh = np.meshgrid(*([aw] * dim), indexing="ij")
+    weights = np.prod(np.stack([m.ravel() for m in wmesh], axis=1), axis=1)
     for a in (ax, aw, nodes, weights):
         a.setflags(write=False)
     return QuadratureGrid(order=order, dim=dim, scale=scale,
@@ -314,10 +268,6 @@ class SpectralVector:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def indices(self) -> tuple[MultiIndex, ...]:
-        return graded_indices(self.dim, self.truncation)
-
     def __getitem__(self, alpha) -> complex:
         key = tuple(alpha) if not isinstance(alpha, int) else (alpha,)
         return complex(self.coeffs[index_position(self.dim, self.truncation)[key]])
@@ -378,27 +328,20 @@ def _ladder_maps(n: int, N: int, axis: int):
 
     lower: out[beta] = sqrt(2 beta_j + 2) * c[beta + e_j]
     raise: out[beta] = sqrt(2 beta_j)     * c[beta - e_j]
+
+    alpha -> alpha + e_j preserves the graded order, so the indices with
+    alpha_j >= 1 are, in order, the images of the indices with |alpha| < N.
     """
-    j = axis - 1
-    pos = index_position(n, N)
     alpha = index_array(n, N)
-    count = alpha.shape[0]
-    low_src = np.full(count, -1, dtype=np.int64)
-    low_fac = np.zeros(count)
-    hi_src = np.full(count, -1, dtype=np.int64)
-    hi_fac = np.zeros(count)
-    for i in range(count):
-        a = alpha[i]
-        up = a.copy()
-        up[j] += 1
-        if up.sum() <= N:
-            low_src[i] = pos[tuple(up)]
-            low_fac[i] = math.sqrt(2.0 * a[j] + 2.0)
-        if a[j] >= 1:
-            dn = a.copy()
-            dn[j] -= 1
-            hi_src[i] = pos[tuple(dn)]
-            hi_fac[i] = math.sqrt(2.0 * a[j])
+    aj = alpha[:, axis - 1]
+    below = np.flatnonzero(alpha.sum(axis=1) < N)
+    above = np.flatnonzero(aj >= 1)
+    low_src = np.full(alpha.shape[0], -1, dtype=np.int64)
+    low_src[below] = above
+    hi_src = np.full(alpha.shape[0], -1, dtype=np.int64)
+    hi_src[above] = below
+    low_fac = np.where(low_src >= 0, np.sqrt(2.0 * aj + 2.0), 0.0)
+    hi_fac = np.where(hi_src >= 0, np.sqrt(2.0 * aj), 0.0)
     for arr in (low_src, low_fac, hi_src, hi_fac):
         arr.setflags(write=False)
     return low_src, low_fac, hi_src, hi_fac
@@ -434,10 +377,9 @@ def ladder(v: SpectralVector, direction: str, axis: int = 1) -> SpectralVector:
     if direction == "raise":
         out = np.where(hi_src >= 0, hi_fac * c[hi_src], 0.0 + 0.0j)
         # mass that would have landed above the cutoff
-        top = np.array([idx.order == v.truncation for idx in v.indices])
-        j = axis - 1
         alpha = index_array(v.dim, v.truncation)
-        dropped = np.abs(c[top]) ** 2 * (2.0 * alpha[top, j] + 2.0)
+        top = alpha.sum(axis=1) == v.truncation
+        dropped = np.abs(c[top]) ** 2 * (2.0 * alpha[top, axis - 1] + 2.0)
         return v.with_coeffs(out, loss=float(np.sqrt(dropped.sum())))
     raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -102,11 +101,6 @@ class SymbolSpec:
         out = np.exp(0.5 * flat * flat) * (waves @ self.node_coeffs)
         return out[0] if z.ndim == 0 else out.reshape(z.shape)
 
-    def project_fock(self, N: int, grid2n: QuadratureGrid) -> SpectralVector:
-        from .transforms import project_fock
-
-        return project_fock(lambda z: self(z), N, grid2n)
-
 
 def symbol_from_multiplier(m: MultiplierSpec, quad_order: int = 160) -> SymbolSpec:
     """Symbol phi(z) = (2/pi)^{1/2} Int m(x) e^{-2(x-iz/2)^2} dx by scale-2
@@ -119,39 +113,30 @@ def symbol_from_multiplier(m: MultiplierSpec, quad_order: int = 160) -> SymbolSp
     return SymbolSpec(label=f"symbol[{m.label}]", nodes=t, node_coeffs=cq)
 
 
-@lru_cache(maxsize=8)
-def _inversion_constant(quad_order: int, slice_cut: float = 10.0) -> float:
-    """C' fixed by the calibration constant->constant: the inverse transform of
-    the unit symbol must reproduce the unit multiplier at x = 0."""
-    g = gauss_hermite(quad_order, 0.5, 1)
-    keep = np.abs(g.nodes[:, 0]) <= slice_cut
-    raw = math.pi ** -0.5 * float(np.sum(g.weights[keep]))
-    return 1.0 / raw
-
-
-def multiplier_from_symbol(sym: SymbolSpec, quad_order: int = 256,
-                           slice_cut: float = 10.0,
-                           noise_floor: float = 1e-13) -> MultiplierSpec:
+def multiplier_from_symbol(sym: SymbolSpec) -> MultiplierSpec:
     """Recover m(x) = C' e^{2x^2} F[ u -> phi(u) e^{-u^2/2} ](x) from the
     real slice of the symbol.
 
-    Quadrature nodes beyond |u| = ``slice_cut`` are dropped: there the
-    quadrature representation of a from-multiplier symbol aliases (errors of
-    size e^{u^2/2} against a true tail below e^{-u^2/2} ~ e^-50), while the
-    dropped true contribution is negligible.  The symbol's own rule must
-    resolve oscillations up to 2*slice_cut (the default orders do).
+    The slice is a 256-point scale-1/2 Gauss-Hermite rule.  Its nodes beyond
+    |u| = 10 are dropped: there the quadrature representation of a
+    from-multiplier symbol aliases (errors of size e^{u^2/2} against a true
+    tail below e^{-u^2/2} ~ e^-50), while the dropped true contribution is
+    negligible.  The symbol's own rule must resolve oscillations up to 20
+    (the default orders do).
 
-    The e^{2x^2} factor amplifies the remaining quadrature noise; an
-    amplification warning reports the validated |x| range (where amplified
-    noise stays below 1e-6).
+    The e^{2x^2} factor amplifies the remaining quadrature noise, taken as
+    1e-13; an amplification warning reports the validated |x| range (where
+    amplified noise stays below 1e-6).
     """
-    g = gauss_hermite(quad_order, 0.5, 1)
-    keep = np.abs(g.nodes[:, 0]) <= slice_cut
+    g = gauss_hermite(256, 0.5, 1)
+    keep = np.abs(g.nodes[:, 0]) <= 10.0
     u = g.nodes[keep, 0]
     wts = g.weights[keep]
     phi_u = sym(u)
-    cprime = _inversion_constant(quad_order, slice_cut)
-    x_valid = math.sqrt(max(math.log(1e-6 / noise_floor), 1.0) / 2.0)
+    # C' fixed by the calibration constant->constant: the inverse transform of
+    # the unit symbol must reproduce the unit multiplier at x = 0
+    cprime = 1.0 / (math.pi ** -0.5 * float(np.sum(wts)))
+    x_valid = math.sqrt(math.log(1e-6 / 1e-13) / 2.0)
 
     def ev(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -368,20 +353,19 @@ def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
                         *_growth_ratios(vals), classify_growth(vals, thresholds))
 
 
-def _classical_operator(m: MultiplierSpec, s: float, N: int,
-                        points_per_N: int) -> LinearOperator:
+def _classical_operator(m: MultiplierSpec, s: float, N: int) -> LinearOperator:
     """Multiplication by m on a periodized classical Sobolev grid, as the
     matrix-free operator B = D F diag(m(x)) F^-1 D^-1 on Fourier coefficients
     (adjoint included), with unitary FFTs F.
 
     Box half-width sqrt(2N+1)+1 (the spectral support scale of the matching
-    truncation), points_per_N*N samples, Fourier weights D = (1+|xi|^2)^{s/2}
+    truncation), 32*N samples, Fourier weights D = (1+|xi|^2)^{s/2}
     with xi = pi k / (2L) matching the e^{-2ixy} pairing.  Warns when more
     than 5% of the sampled spectrum's mass sits in the top frequency decile
     (box-seam leakage alone stays well below that).
     """
     L = math.sqrt(2.0 * N + 1.0) + 1.0
-    P = points_per_N * N
+    P = 32 * N
     x = -L + 2.0 * L * np.arange(P) / P
     mv = m(x)
     spec = np.abs(np.fft.fft(mv))
@@ -408,8 +392,7 @@ def _classical_operator(m: MultiplierSpec, s: float, N: int,
     return LinearOperator((P, P), matvec=B, rmatvec=BH, dtype=complex)
 
 
-def _classical_norm(m: MultiplierSpec, s: float, N: int, points_per_N: int = 32,
-                    max_iter: int = 2000) -> float:
+def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -> float:
     """Largest singular value of the periodized classical Sobolev multiplication
     operator B (see ``_classical_operator``), as the square root of the top
     eigenvalue of the Gram operator B^H B.
@@ -424,7 +407,7 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, points_per_N: int = 32,
     the largest converged Ritz value, or else the Rayleigh quotient of the
     start vector.
     """
-    B = _classical_operator(m, s, N, points_per_N)
+    B = _classical_operator(m, s, N)
     G = B.H @ B
     rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
@@ -445,8 +428,7 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, points_per_N: int = 32,
 
 
 def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
-                            thresholds: GrowthThresholds,
-                            points_per_N: int = 32) -> GrowthReport:
+                            thresholds: GrowthThresholds) -> GrowthReport:
     """Contrast probe: the same multiplication operator measured against the
     flat Fourier weights (1+|xi|^2)^{s/2} on a periodized box (1D only).  Each
     norm is the top singular value of the matrix-free operator, from Lanczos
@@ -459,7 +441,7 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     seam-continuous, so their growth reflects real-line behaviour.
     """
     N_list = _strictly_increasing(N_list)
-    vals = tuple(_classical_norm(m, s, N, points_per_N) for N in N_list)
+    vals = tuple(_classical_norm(m, s, N) for N in N_list)
     return GrowthReport(m.label, "classical", s, N_list, vals,
                         *_growth_ratios(vals), classify_growth(vals, thresholds))
 

@@ -88,13 +88,13 @@ def heat_semigroup(v: SpectralVector, t: float) -> SpectralVector:
     return v.with_coeffs(v.coeffs * np.exp(-t * t * lam))
 
 
-def heat_kernel_value(N: int, t: float, x, y,
-                      convention: Convention = Convention.PAPER_H) -> float:
-    """Truncated heat kernel  Sigma_k exp(-t^2 lam_k) b_k(x) b_k(y)  in 1D."""
+def heat_kernel_value(N: int, t: float, x, y) -> float:
+    """Truncated heat kernel  Sigma_k exp(-t^2 lam_k) h_k(x) h_k(y)  in 1D,
+    in the paper-h system."""
     from .hermite import hermite_axis_table
 
-    tx = hermite_axis_table(N, np.asarray(x, dtype=float), convention)
-    ty = hermite_axis_table(N, np.asarray(y, dtype=float), convention)
+    tx = hermite_axis_table(N, np.asarray(x, dtype=float), Convention.PAPER_H)
+    ty = hermite_axis_table(N, np.asarray(y, dtype=float), Convention.PAPER_H)
     lam = 2 * np.arange(N + 1) + 1
     return float(np.sum(np.exp(-t * t * lam) * tx * ty))
 
@@ -303,8 +303,7 @@ def localization_norm(v: SpectralVector, s: float, bump: PartitionBump,
     return math.sqrt(total)
 
 
-def potential_bound_probe(v: SpectralVector, s: float,
-                          grid: QuadratureGrid | None = None) -> float:
+def potential_bound_probe(v: SpectralVector, s: float) -> float:
     """|| |x|^{2s} * synth(H^{-s} v) ||_2 / ||v||_2 by quadrature (s >= 0)."""
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
@@ -312,8 +311,7 @@ def potential_bound_probe(v: SpectralVector, s: float,
         raise ValueError("zero vector")
     w = fractional_H(v, -s)
     sc = float(v.convention.weight_exponent)
-    if grid is None:
-        grid = gauss_hermite(min(2 * v.truncation + 48, 512), sc, v.dim)
+    grid = gauss_hermite(min(2 * v.truncation + 48, 512), sc, v.dim)
     pts = grid.nodes if v.dim > 1 else grid.nodes[:, 0]
     vals = synthesize(w, pts)
     r2 = np.sum(grid.nodes * grid.nodes, axis=1)

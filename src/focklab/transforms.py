@@ -89,9 +89,6 @@ class OperatorMatrix:
             raise ValueError("vector and matrix truncations differ")
         return v.with_coeffs(self.entries @ v.coeffs)
 
-    def interior(self) -> np.ndarray:
-        return interior_block(self.entries, self.dim, self.truncation)
-
     def unitarity_defect(self) -> float:
         g = self.entries.conj().T @ self.entries
         d = g - np.eye(g.shape[0])
@@ -345,8 +342,7 @@ def translation_ladder_check(a, axis: int, v: SpectralVector) -> DefectReport:
 
 
 def leibniz_check(f: SpectralVector, g: SpectralVector, axis: int = 1,
-                  projection_truncation: int | None = None,
-                  grid: QuadratureGrid | None = None) -> DefectReport:
+                  projection_truncation: int | None = None) -> DefectReport:
     """Defect of the product rule  H_j(fg) = (H_j f) g + f (H_j g) - x_j f g
     with H_j = d/dx_j + x_j, products formed pointwise and re-projected.
 
@@ -364,8 +360,7 @@ def leibniz_check(f: SpectralVector, g: SpectralVector, axis: int = 1,
     n = f.dim
     N = max(f.truncation, g.truncation)
     T = projection_truncation or 2 * N
-    if grid is None:
-        grid = gauss_hermite(T + 32, 1.0, n)
+    grid = gauss_hermite(T + 32, 1.0, n)
     from .hermite import project, synthesize
 
     def proj(fun):

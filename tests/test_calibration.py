@@ -6,12 +6,26 @@ stale.
 """
 import pytest
 
-from focklab.calibration import load_calibration, run_calibration
+from focklab.calibration import REQUIRED_KEYS, load_calibration, run_calibration
 
 
-def test_committed_calibration_is_fresh():
-    committed = load_calibration()
+@pytest.fixture(scope="module")
+def committed():
+    return load_calibration()
+
+
+@pytest.fixture(scope="module")
+def fresh(committed):
     values, _ = run_calibration(seed=committed.seed)
-    assert sorted(values) == sorted(committed.values)
-    for key, value in values.items():
+    return values
+
+
+def test_committed_calibration_is_fresh(committed, fresh):
+    assert sorted(fresh) == sorted(committed.values)
+    for key, value in fresh.items():
         assert value == pytest.approx(committed.values[key], rel=1e-12, abs=0.0), key
+
+
+def test_writes_exactly_the_required_keys(fresh):
+    # a key nothing reads is a measurement nobody checks
+    assert sorted(fresh) == sorted(REQUIRED_KEYS)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,9 +17,10 @@ from focklab.hermite import (
     convert_convention,
     eval_hermite,
     gauss_hermite,
-    graded_indices,
     hermite_axis_table,
+    index_array,
     index_count,
+    index_position,
     ladder,
     ladder_factor_squared,
     project,
@@ -42,26 +44,32 @@ def _mp_paper_h(k, x):
     return p1
 
 
-class TestMultiIndex:
+def _graded_reference(n, N):
+    """Every alpha in N_0^n with |alpha| <= N, sorted by (|alpha|, alpha)."""
+    rows = [a for a in itertools.product(range(N + 1), repeat=n) if sum(a) <= N]
+    return sorted(rows, key=lambda a: (sum(a), a))
+
+
+class TestIndexArray:
     def test_enumeration_graded_and_complete(self):
-        idx = graded_indices(2, 4)
-        assert len(idx) == index_count(2, 4) == math.comb(6, 2)
-        orders = [i.order for i in idx]
-        assert orders == sorted(orders)
-        assert len(set(i.components for i in idx)) == len(idx)
+        for n in range(1, 5):
+            for N in range(9):
+                arr = index_array(n, N)
+                rows = [tuple(a) for a in arr.tolist()]
+                assert arr.dtype == np.int64 and not arr.flags.writeable
+                assert len(rows) == index_count(n, N) == math.comb(N + n, n)
+                assert len(set(rows)) == len(rows)
+                orders = arr.sum(axis=1)
+                assert np.all(np.diff(orders) >= 0)
+                # graded, lexicographic within each grade
+                assert rows == _graded_reference(n, N)
+                assert index_position(n, N) == {a: i for i, a in enumerate(rows)}
 
-    def test_factorials(self):
-        from focklab.hermite import MultiIndex
-
-        a = MultiIndex((3, 2))
-        assert a.order == 5
-        assert a.factorial == 12
-
-    def test_rejects_negative(self):
-        from focklab.hermite import MultiIndex
-
+    def test_rejects_n_below_1_and_negative_N(self):
         with pytest.raises(ValueError):
-            MultiIndex((1, -1))
+            index_array(0, 3)
+        with pytest.raises(ValueError):
+            index_array(2, -1)
 
 
 class TestEvaluation:
@@ -195,6 +203,32 @@ class TestLadder:
         assert r.norm() == 0.0
         assert r.truncation_loss == pytest.approx(math.sqrt(12), rel=1e-15)
         assert ladder(v, "lower").truncation_loss == 0.0
+
+    @pytest.mark.parametrize("n,N", [(2, 7), (3, 5)])
+    def test_matches_dict_reference(self, n, N):
+        # push each coefficient along the axis by hand, keyed by its multi-index
+        labels = _graded_reference(n, N)
+        v = random_vector(n, N, Convention.PAPER_H, 31 + n)
+        for axis in range(1, n + 1):
+            j = axis - 1
+            for direction in ("lower", "raise"):
+                out, lost = {}, 0.0
+                for alpha, c in zip(labels, v.coeffs):
+                    beta = list(alpha)
+                    if direction == "lower":
+                        if alpha[j] == 0:
+                            continue
+                        beta[j] -= 1
+                        out[tuple(beta)] = math.sqrt(2 * alpha[j]) * c
+                    elif sum(alpha) == N:
+                        lost += abs(c) ** 2 * (2 * alpha[j] + 2)
+                    else:
+                        beta[j] += 1
+                        out[tuple(beta)] = math.sqrt(2 * alpha[j] + 2) * c
+                want = np.array([out.get(a, 0.0) for a in labels])
+                got = ladder(v, direction, axis)
+                np.testing.assert_allclose(got.coeffs, want, rtol=1e-15, atol=0.0)
+                assert got.truncation_loss == pytest.approx(math.sqrt(lost), rel=1e-14)
 
     def test_multi_axis(self):
         v = SpectralVector.unit(2, 4, Convention.PAPER_H, (1, 2))

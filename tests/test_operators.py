@@ -35,7 +35,7 @@ from focklab.operators import (
     symbol_from_multiplier,
 )
 from focklab.spaces import eigenvalues
-from focklab.transforms import interior_block, interior_frobenius, weyl_matrix
+from focklab.transforms import interior_block, interior_frobenius, project_fock, weyl_matrix
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +280,7 @@ class TestClassicalNorm:
     def test_matches_dense_svd(self, label, s):
         # signum at s=0 has a degenerate Gram spectrum
         m = parse_multiplier(label)
-        B = _classical_operator(m, s, 8, 32)
+        B = _classical_operator(m, s, 8)
         dense = np.column_stack([B.matvec(e) for e in np.eye(B.shape[0], dtype=complex)])
         want = np.linalg.norm(dense, 2)
         assert _classical_norm(m, s, 8) == pytest.approx(want, rel=1e-10)
@@ -367,7 +367,7 @@ def test_growth_warning_at_uncompensated_nodes():
 
 def test_symbol_fock_projection_agrees_with_evaluator(grid_c):
     sym = symbol_from_multiplier(bump(), quad_order=160)
-    vec = sym.project_fock(8, grid_c)
+    vec = project_fock(sym, 8, grid_c)
     from focklab.hermite import synthesize as synth
 
     zs = np.array([0.3 + 0.2j, -0.6, 0.5j])

@@ -60,7 +60,6 @@ def test_order_cap_and_validation():
         gauss_hermite(0, 1.0, 1)
     with pytest.raises(ValueError):
         gauss_hermite(8, -1.0, 1)
-    gauss_hermite(600, 1.0, 1, max_order=640)  # cap is configurable
 
 
 def test_projection_rejects_mismatched_scale(grid1):
