@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_hermite
 
-from .errors import EvaluationRangeError, GridMismatchError
+from .errors import EvaluationRangeError, FockLabError, GridMismatchError
 
 __all__ = [
     "Convention",
@@ -109,6 +109,17 @@ def index_position(n: int, N: int) -> dict[tuple[int, ...], int]:
     return {tuple(a): i for i, a in enumerate(index_array(n, N).tolist())}
 
 
+def _position(n: int, N: int, alpha) -> int:
+    """Graded position of the multi-index alpha (a bare int when n = 1)."""
+    key = (alpha,) if np.ndim(alpha) == 0 else tuple(alpha)
+    try:
+        return index_position(n, N)[key]
+    except (KeyError, TypeError):
+        raise FockLabError(
+            f"multi-index {alpha!r} is not in the index set for n={n}, N={N}: need "
+            f"{n} nonnegative integers with sum <= {N}") from None
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Tensorized Gauss-Hermite rule for integrals against exp(-scale*|x|^2).
@@ -145,15 +156,23 @@ def gauss_hermite(order: int, scale: float = 1.0, dim: int = 1) -> QuadratureGri
     Nodes of the scaled rule are the unit-scale nodes divided by sqrt(scale),
     weights divided by scale^(dim/2).  Orders beyond MAX_QUADRATURE_ORDER are
     rejected; node-solver accuracy is not guaranteed there.
+
+    Each rule is built once per process and shared: equal (int order,
+    float scale, int dim) keys return the same read-only grid.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if order < 1 or order != int(order):
+        raise ValueError(f"order must be an integer >= 1, got {order}")
     if order > MAX_QUADRATURE_ORDER:
         raise ValueError(f"order {order} exceeds the maximum {MAX_QUADRATURE_ORDER}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    return _gauss_hermite(int(order), float(scale), int(dim))
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(order: int, scale: float, dim: int) -> QuadratureGrid:
     x, w = roots_hermite(order)
     rt = math.sqrt(scale)
     ax = x / rt
@@ -269,8 +288,7 @@ class SpectralVector:
         object.__setattr__(self, "coeffs", c)
 
     def __getitem__(self, alpha) -> complex:
-        key = tuple(alpha) if not isinstance(alpha, int) else (alpha,)
-        return complex(self.coeffs[index_position(self.dim, self.truncation)[key]])
+        return complex(self.coeffs[_position(self.dim, self.truncation, alpha)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -280,9 +298,8 @@ class SpectralVector:
 
     @staticmethod
     def unit(n: int, N: int, convention: Convention, alpha) -> "SpectralVector":
-        key = (alpha,) if isinstance(alpha, int) else tuple(alpha)
         c = np.zeros(index_count(n, N), dtype=complex)
-        c[index_position(n, N)[key]] = 1.0
+        c[_position(n, N, alpha)] = 1.0
         return SpectralVector(n, N, convention, c)
 
 

@@ -28,6 +28,9 @@ kernel the cross terms cancel:
 
 The quadrature route therefore factors over the complex mesh as
 M = L diag(c) L^H with L[alpha, q] = Sigma_z w_z conj(e_alpha(z)) g_q(z).
+On the tensor mesh z = x + iy the wave factor e^{2i t_q z} is
+e^{2i t_q x} e^{-2 t_q y}, so L is assembled from two per-axis tables and
+never from a (mesh x q) one.
 L stays a mesh quadrature of Fock monomials against plane waves; its closed
 Hermite-function form in t_q would be the conjugated route itself, so the
 two routes still share no code.
@@ -42,7 +45,12 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import AccuracyWarning, ConvergenceWarning, GridMismatchError
+from .errors import (
+    AccuracyWarning,
+    ConvergenceWarning,
+    EvaluationRangeError,
+    GridMismatchError,
+)
 from .hermite import (
     Convention,
     QuadratureGrid,
@@ -207,17 +215,34 @@ def integral_operator_matrix(sym: SymbolSpec, N: int,
     same rule integrates the w-side operator and the z-side pairing).
 
     The kernel separates into the symbol's plane waves, so the double mesh
-    sum is M = L diag(c) L^H with L = conj(E) (w_z e^{z^2/2 + 2i t_q z}): one
-    (count x order^2) by (order^2 x q) product.  This is the quadrature
-    route; it shares nothing with the conjugated multiplier construction.
+    sum is M = L diag(c) L^H with L[alpha, q] = Sigma_z F[alpha, z] g_q(z),
+    F = conj(E) w_z e^{z^2/2}.  On the tensor mesh z = x + iy the waves
+    split as e^{2i t_q z} = e^{2i t_q x} e^{-2 t_q y}, so L is one
+    (count*Q x Q) by (Q x q) product over y followed by a weighted sum over
+    x, with two Q x q axis tables in place of a Q^2 x q one.  This is the
+    quadrature route; it shares nothing with the conjugated multiplier
+    construction.
+
+    Raises ``EvaluationRangeError`` when an entry is not finite: the plane
+    waves e^{-2 t_q y} outgrow double precision once the mesh reaches far
+    beyond the symbol's node range.
     """
     if grid2n is None:
         grid2n = gauss_hermite(default_mesh_order(N), 1.0, 2)
     z, wts = _complex_mesh(grid2n)
+    Q, ax, t = grid2n.order, grid2n.axis_nodes, sym.nodes
     E = basis_table(1, N, z, Convention.FOCK)
-    G = np.exp(0.5 * (z * z)[:, None] + 2j * np.outer(z, sym.nodes))
-    L = (np.conj(E) * wts) @ G
-    return OperatorMatrix(N, 1, (L * sym.node_coeffs) @ L.conj().T, Convention.FOCK)
+    # nodes are x-major: row alpha*Q + i of F holds x_i, its columns run over y
+    F = (np.conj(E) * (wts * np.exp(0.5 * z * z))).reshape(-1, Q)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        T = (F @ np.exp(-2.0 * np.outer(ax, t))).reshape(-1, Q, t.size)
+        L = np.einsum("aiq,iq->aq", T, np.exp(2j * np.outer(ax, t)))
+        ent = (L * sym.node_coeffs) @ L.conj().T
+    if not np.isfinite(ent).all():
+        raise EvaluationRangeError(
+            f"operator matrix has non-finite entries at mesh order Q={Q} with symbol "
+            f"order {t.size}; lower the mesh order or the symbol order")
+    return OperatorMatrix(N, 1, ent, Convention.FOCK)
 
 
 def multiplier_matrix(m: MultiplierSpec, N: int,

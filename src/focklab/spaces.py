@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad_vec
+from scipy.integrate import quad
 
 from .errors import AccuracyWarning, DivergenceError, GridMismatchError
 from .hermite import (
@@ -156,9 +156,9 @@ def _semigroup_integrals(lam: np.ndarray, s: float, K: int) -> np.ndarray:
     After t = e^v the integrand is e^{-2sv} (1 - e^{-e^{2(v+h)}})^{2K}, h = log(lam)/2,
     formed in log space.  Past v + h = 18 the bracket is 1 and below -20 it is
     e^{2(v+h)}, to double precision, so both tails are pure exponentials.
-    Each component is integrated as lam^{-s} I(lam), which is of order one for
-    every lam, so the max-norm error control of ``quad_vec`` holds entry by
-    entry; the factor lam^s is put back at the end.
+    Each component is integrated by its own scalar ``quad`` as lam^{-s} I(lam),
+    which is of order one for every lam, so the relative error control holds
+    entry by entry; the factor lam^s is put back at the end.
     """
     if K < 1 or not 0.0 < s < 2.0 * K:
         raise DivergenceError(
@@ -166,11 +166,12 @@ def _semigroup_integrals(lam: np.ndarray, s: float, K: int) -> np.ndarray:
     h = 0.5 * np.log(lam)
     a, b = -20.0 - h.max(), 18.0 - h.min()
 
-    def integrand(v: float) -> np.ndarray:
-        u = 2.0 * (v + h)
-        return np.exp(-s * u + 2.0 * K * np.log(-np.expm1(-np.exp(u))))
+    def integrand(v: float, hj: float) -> float:
+        u = 2.0 * (v + hj)
+        return math.exp(-s * u + 2.0 * K * math.log(-math.expm1(-math.exp(u))))
 
-    body = quad_vec(integrand, a, b, epsabs=0.0, epsrel=1e-13, norm="max", limit=2000)[0]
+    body = np.array([quad(integrand, a, b, args=(hj,), epsabs=0.0, epsrel=1e-13,
+                          limit=2000)[0] for hj in h.tolist()])
     lower = np.exp((4.0 * K - 2.0 * s) * (a + h)) / (4.0 * K - 2.0 * s)
     upper = np.exp(-2.0 * s * (b + h)) / (2.0 * s)
     return lam ** s * (body + lower + upper)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from focklab.errors import EvaluationRangeError
+from focklab.errors import EvaluationRangeError, FockLabError
 from focklab.hermite import (
     Convention,
     SpectralVector,
@@ -70,6 +70,15 @@ class TestIndexArray:
             index_array(0, 3)
         with pytest.raises(ValueError):
             index_array(2, -1)
+
+    @pytest.mark.parametrize("alpha", [(1, -1), (5, 0), (1, 2, 0), 7], ids=str)
+    def test_out_of_range_multi_index_names_the_index_set(self, alpha):
+        v = random_vector(2, 4, Convention.FOCK, 1)
+        unit = SpectralVector.unit
+        for lookup in (lambda: v[alpha], lambda: unit(2, 4, Convention.FOCK, alpha)):
+            with pytest.raises(FockLabError, match=r"n=2, N=4") as exc:
+                lookup()
+            assert repr(alpha) in str(exc.value)
 
 
 class TestEvaluation:

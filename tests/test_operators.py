@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focklab.calibration import load_calibration
-from focklab.errors import AccuracyWarning, ConvergenceWarning, GridMismatchError
+from focklab.errors import (
+    AccuracyWarning,
+    ConvergenceWarning,
+    EvaluationRangeError,
+    GridMismatchError,
+)
 from focklab.hermite import (
     Convention,
     SpectralVector,
@@ -183,6 +188,30 @@ class TestIntegralOperator:
         assert np.isfinite(A.entries).all()
         B = conjugated_multiplier_matrix(bump(), N)
         assert interior_frobenius(A.entries, B.entries, 1, N) <= 1e-5
+
+    def test_matrix_matches_full_plane_wave_table(self):
+        # reference: L = conj(E) w_z e^{z^2/2 + 2i t_q z} from the whole Q^2 x q
+        # table, against the per-axis factorization of the same mesh sum
+        N, Q = 24, 128
+        g = gauss_hermite(Q, 1.0, 2)
+        sym = symbol_from_multiplier(bump(), quad_order=2 * Q)
+        A = integral_operator_matrix(sym, N, g)
+        z = g.nodes[:, 0] + 1j * g.nodes[:, 1]
+        E = basis_table(1, N, z, Convention.FOCK)
+        G = np.exp(0.5 * (z * z)[:, None] + 2j * np.outer(z, sym.nodes))
+        L = (np.conj(E) * (g.weights / math.pi)) @ G
+        M = (L * sym.node_coeffs) @ L.conj().T
+        assert np.abs(A.entries - M).max() <= 1e-13 * np.abs(M).max()
+
+    def test_non_finite_matrix_raises(self):
+        sym = symbol_from_multiplier(bump(), quad_order=512)
+        with pytest.raises(EvaluationRangeError, match=r"Q=200 .*symbol order 512"):
+            integral_operator_matrix(sym, 8, gauss_hermite(200, 1.0, 2))
+
+    def test_top_symbol_order_on_top_default_mesh_is_finite(self):
+        sym = symbol_from_multiplier(bump(), quad_order=512)
+        A = integral_operator_matrix(sym, 8, gauss_hermite(128, 1.0, 2))
+        assert np.isfinite(A.entries).all()
 
 
 class TestMultiplierMatrix:

@@ -60,6 +60,18 @@ def test_order_cap_and_validation():
         gauss_hermite(0, 1.0, 1)
     with pytest.raises(ValueError):
         gauss_hermite(8, -1.0, 1)
+    with pytest.raises(ValueError):
+        gauss_hermite(2.5, 1.0, 1)
+
+
+def test_rules_are_built_once_per_normalized_key():
+    g = gauss_hermite(64, 2, 1)
+    assert gauss_hermite(64, 2.0, 1) is g
+    assert gauss_hermite(np.int64(64), np.float64(2.0), np.int64(1)) is g
+    assert type(g.scale) is float and type(g.order) is int and type(g.dim) is int
+    for a in (g.axis_nodes, g.axis_weights, g.nodes, g.weights):
+        assert not a.flags.writeable
+    assert gauss_hermite(64, 2.0, 2) is not g
 
 
 def test_projection_rejects_mismatched_scale(grid1):
