@@ -29,7 +29,6 @@ from .multipliers import (
     bump,
     chirp43,
     constant,
-    grid_sampled,
     modulation,
     parse_multiplier,
     signum,
@@ -61,15 +60,11 @@ from .spaces import (
     weighted_fock_norm,
 )
 from .transforms import (
-    DefectReport,
     OperatorMatrix,
-    bargmann,
     bargmann_quadrature,
     conjugation_check,
     fourier,
     fourier_quadrature,
-    inverse_bargmann,
-    inverse_fourier,
     leibniz_check,
     translation_ladder_check,
     translation_matrix,

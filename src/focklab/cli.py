@@ -29,7 +29,7 @@ from .calibration import (
 from .errors import ConfigError, FockLabError
 from .multipliers import parse_multiplier
 from .operators import (
-    _strictly_increasing,
+    _truncation_ladder,
     boundedness_probe,
     classical_sobolev_probe,
     conjugated_multiplier_matrix,
@@ -105,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(run=cmd_probe)
     pr.add_argument("--multiplier", type=str, required=True)
     pr.add_argument("--s", type=_at_least(0.0, float), default=0.0)
-    pr.add_argument("--N", type=_at_least(4), action="append", dest="N_list",
-                    help="truncation, repeated (default 8 16 32 64)")
+    pr.add_argument("--N", type=int, action="append", dest="N_list",
+                    help="truncation in 4..248, repeated (default 8 16 32 64)")
     pr.add_argument("--classical", action="store_true",
                     help="also run the flat-weight classical-side probe")
     pr.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -172,9 +172,9 @@ def _parse_range(spec: str) -> np.ndarray:
 def cmd_symbol(args) -> int:
     try:
         m = parse_multiplier(args.multiplier)
-    except (KeyError, ValueError) as exc:
+        sym = symbol_from_multiplier(m, quad_order=args.quad_order)
+    except (KeyError, ValueError) as exc:  # ValueError covers orders past the rule cap
         _fail_config(str(exc))
-    sym = symbol_from_multiplier(m, quad_order=args.quad_order)
     re = _parse_range(args.z_re)
     im = _parse_range(args.z_im)
     zz = (re[:, None] + 1j * im[None, :]).ravel()
@@ -199,10 +199,8 @@ def cmd_symbol(args) -> int:
 
 def cmd_probe(args) -> int:
     N_list = args.N_list or [8, 16, 32, 64]
-    if len(N_list) < 2:
-        _fail_config("probe needs at least two --N values to measure growth")
     try:
-        _strictly_increasing(N_list)
+        _truncation_ladder(N_list)
         m = parse_multiplier(args.multiplier)
     except (KeyError, ValueError) as exc:
         _fail_config(str(exc))
@@ -227,6 +225,12 @@ def cmd_probe(args) -> int:
     return 0
 
 
+def _finite(value):
+    if not np.isfinite(value):
+        raise ValueError(f"matrix selector values must be finite; got {value}")
+    return value
+
+
 def _build_matrix(selector: str, N: int, n: int) -> OperatorMatrix:
     kind, _, arg = selector.partition(":")
     if kind == "identity":
@@ -235,10 +239,10 @@ def _build_matrix(selector: str, N: int, n: int) -> OperatorMatrix:
         count = index_count(n, N)
         return OperatorMatrix(N, n, np.eye(count, dtype=complex), Convention.FOCK)
     if kind == "translation":
-        a = np.full(n, float(arg or 0.0))
+        a = np.full(n, _finite(float(arg or 0.0)))
         return translation_matrix(a, N)
     if kind == "weyl":
-        a = np.full(n, complex(arg or 0.0))
+        a = np.full(n, _finite(complex(arg or 0.0)))
         return weyl_matrix(a, N)
     if kind in ("multiplier", "conjugated") and n != 1:
         raise ConfigError(f"{kind} matrices are built for n=1 only; got --n {n}")

@@ -1,8 +1,8 @@
 """Registry of bounded functions on R^n used as multiplication symbols.
 
-Each entry wraps a vectorized evaluator defined on all of R^n together with
-its sup norm when known.  CLI identifiers look like ``constant:1``,
-``modulation:0.7``, ``signum``, ``chirp43``, ``bump``.
+Each entry wraps a vectorized evaluator defined on all of R^n.  CLI
+identifiers look like ``constant:1``, ``modulation:0.7``, ``signum``,
+``chirp43``, ``bump``.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ __all__ = [
     "signum",
     "chirp43",
     "bump",
-    "grid_sampled",
     "parse_multiplier",
     "REGISTRY",
 ]
@@ -28,10 +27,8 @@ __all__ = [
 class MultiplierSpec:
     """A bounded function m on R^n, evaluable at arbitrary real points."""
 
-    kind: str
     label: str
     evaluator: Callable[[np.ndarray], np.ndarray]
-    sup_norm: float | None = None
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=complex)
@@ -44,9 +41,8 @@ def _radial(x: np.ndarray) -> np.ndarray:
 
 def constant(c: complex = 1.0) -> MultiplierSpec:
     c = complex(c)
-    return MultiplierSpec("constant", f"constant:{c.real:g}" if c.imag == 0 else f"constant:{c}",
-                          lambda x: np.full(x.shape[0] if x.ndim > 1 else x.shape, c),
-                          sup_norm=abs(c))
+    return MultiplierSpec(f"constant:{c.real:g}" if c.imag == 0 else f"constant:{c}",
+                          lambda x: np.full(x.shape[0] if x.ndim > 1 else x.shape, c))
 
 
 def modulation(c) -> MultiplierSpec:
@@ -58,12 +54,12 @@ def modulation(c) -> MultiplierSpec:
         return np.exp(-2j * dot)
 
     lbl = f"modulation:{cv[0]:g}" if cv.size == 1 else "modulation:" + ",".join(f"{c:g}" for c in cv)
-    return MultiplierSpec("modulation", lbl, ev, sup_norm=1.0)
+    return MultiplierSpec(lbl, ev)
 
 
 def signum() -> MultiplierSpec:
     """sign(x) on the line: bounded, but not a first-order multiplier."""
-    return MultiplierSpec("signum", "signum", lambda x: np.sign(_radial_sign(x)), sup_norm=1.0)
+    return MultiplierSpec("signum", lambda x: np.sign(_radial_sign(x)))
 
 
 def _radial_sign(x: np.ndarray) -> np.ndarray:
@@ -80,34 +76,21 @@ def chirp43() -> MultiplierSpec:
             raise ValueError("chirp43 is one-dimensional")
         return np.exp(1j * np.abs(x) ** (4.0 / 3.0))
 
-    return MultiplierSpec("chirp43", "chirp43", ev, sup_norm=1.0)
+    return MultiplierSpec("chirp43", ev)
 
 
 def bump(width: float = 1.0) -> MultiplierSpec:
     """Gaussian bump exp(-|x|^2/width^2): smooth, localized, analytic (so all
     quadratures against it converge superexponentially)."""
+    if not width > 0:
+        raise ValueError(f"bump width must be positive; got {width}")
     w2 = float(width) ** 2
 
     def ev(x: np.ndarray) -> np.ndarray:
         r = _radial(x)
         return np.exp(-r * r / w2)
 
-    return MultiplierSpec("bump", "bump" if width == 1.0 else f"bump:{width:g}", ev, sup_norm=1.0)
-
-
-def grid_sampled(xs, values, label: str = "grid-sampled") -> MultiplierSpec:
-    """Linear interpolation through samples; constant extension outside the range."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if xs.ndim != 1 or xs.shape != values.shape:
-        raise ValueError("need matching 1D sample arrays")
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        if x.ndim > 1:
-            raise ValueError("grid-sampled multipliers are one-dimensional")
-        return np.interp(x, xs, values.real) + 1j * np.interp(x, xs, values.imag)
-
-    return MultiplierSpec("grid-sampled", label, ev, sup_norm=float(np.abs(values).max()))
+    return MultiplierSpec("bump" if width == 1.0 else f"bump:{width:g}", ev)
 
 
 REGISTRY: dict[str, Callable[..., MultiplierSpec]] = {
@@ -128,4 +111,6 @@ def parse_multiplier(ident: str) -> MultiplierSpec:
     if not arg:
         return factory()
     vals = [float(p) for p in arg.split(",")]
+    if not np.isfinite(vals).all():
+        raise ValueError(f"multiplier parameters must be finite; got {arg!r}")
     return factory(vals[0] if len(vals) == 1 else vals)

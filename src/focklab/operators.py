@@ -52,6 +52,7 @@ from .errors import (
     GridMismatchError,
 )
 from .hermite import (
+    MAX_QUADRATURE_ORDER,
     Convention,
     QuadratureGrid,
     SpectralVector,
@@ -158,7 +159,7 @@ def multiplier_from_symbol(sym: SymbolSpec) -> MultiplierSpec:
         ker = np.exp(-2j * np.outer(x, u))
         return cprime * np.exp(2.0 * x * x) * math.pi ** -0.5 * (ker @ (wts * phi_u))
 
-    return MultiplierSpec("from-symbol", f"inverse[{sym.label}]", ev, sup_norm=None)
+    return MultiplierSpec(f"inverse[{sym.label}]", ev)
 
 
 def _complex_mesh(grid2n: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +167,7 @@ def _complex_mesh(grid2n: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
         raise GridMismatchError("the integral operator mesh is over C (2 real dims)")
     if grid2n.scale != 1.0:
         raise GridMismatchError("the Gaussian measure needs a scale-1 rule")
-    z = grid2n.nodes[:, 0] + 1j * grid2n.nodes[:, 1]
-    return z, grid2n.weights / math.pi
+    return grid2n.complex_nodes()[:, 0], grid2n.weights / math.pi
 
 
 def apply_integral_operator(sym: SymbolSpec, F, z, grid2n: QuadratureGrid) -> np.ndarray:
@@ -276,10 +276,10 @@ def conjugated_multiplier_matrix(m: MultiplierSpec, N: int,
     return OperatorMatrix(N, Mm.dim, ent, Convention.FOCK)
 
 
-def operator_norm(A: OperatorMatrix, s: float = 0.0, tol: float = 1e-10,
-                  max_iter: int = 10_000, seed: int = 1234) -> float:
+def operator_norm(A: OperatorMatrix, s: float = 0.0, max_iter: int = 10_000) -> float:
     """Largest singular value of D^{s/2} A D^{-s/2}, D = diag(2|alpha|+n),
-    by power iteration on the Gram matrix with a deterministic seeded start.
+    by power iteration on the Gram matrix with a deterministic seeded start,
+    to a relative Rayleigh-quotient step of 1e-10.
 
     Non-convergence is reported as a warning carrying the Rayleigh bracket.
     """
@@ -287,7 +287,7 @@ def operator_norm(A: OperatorMatrix, s: float = 0.0, tol: float = 1e-10,
     d = lam ** (s / 2.0)
     B = (d[:, None] * A.entries) / d[None, :]
     G = B.conj().T @ B
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     v = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
     v /= np.linalg.norm(v)
     prev = 0.0
@@ -298,12 +298,12 @@ def operator_norm(A: OperatorMatrix, s: float = 0.0, tol: float = 1e-10,
         if ny == 0.0:
             return 0.0
         v = y / ny
-        if abs(ray - prev) <= tol * max(1.0, abs(ray)):
+        if abs(ray - prev) <= 1e-10 * max(1.0, abs(ray)):
             return math.sqrt(max(ray, 0.0))
         prev = ray
     hi = math.sqrt(float(np.linalg.norm(G, ord=np.inf)))
     warnings.warn(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations; "
+        f"power iteration did not reach tol=1e-10 in {max_iter} iterations; "
         f"Rayleigh bracket [{math.sqrt(max(prev, 0.0)):.6e}, {hi:.6e}]",
         ConvergenceWarning)
     return math.sqrt(max(prev, 0.0))
@@ -356,10 +356,21 @@ def classify_growth(values: Sequence[float], thresholds: GrowthThresholds) -> st
     return "inconclusive"
 
 
-def _strictly_increasing(N_list: Sequence[int]) -> tuple[int, ...]:
+# multiplier_matrix's default rule has order 2N + 16, and the rules stop there
+_MAX_PROBE_N = (MAX_QUADRATURE_ORDER - 16) // 2
+
+
+def _truncation_ladder(N_list: Sequence[int]) -> tuple[int, ...]:
+    """The probes' truncation list as a tuple; ValueError unless it has at
+    least two entries, increases strictly and stays within 4 <= N <= 248."""
     N_list = tuple(N_list)
+    if len(N_list) < 2:
+        raise ValueError(f"a probe needs at least two truncations to measure growth, "
+                         f"got {list(N_list)}")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError(f"truncation list must be strictly increasing, got {list(N_list)}")
+    if N_list[0] < 4 or N_list[-1] > _MAX_PROBE_N:
+        raise ValueError(f"truncations must lie in 4..{_MAX_PROBE_N}, got {list(N_list)}")
     return N_list
 
 
@@ -371,7 +382,7 @@ def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     The classification is heuristic evidence about multiplier membership,
     not a proof; the norm sequences themselves are the primary output.
     """
-    N_list = _strictly_increasing(N_list)
+    N_list = _truncation_ladder(N_list)
     vals = tuple(operator_norm(conjugated_multiplier_matrix(m, N), s)
                  for N in N_list)
     return GrowthReport(m.label, "hermite", s, N_list, vals,
@@ -465,7 +476,7 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     entries the contrast is designed for (constant, bump, chirp43) are
     seam-continuous, so their growth reflects real-line behaviour.
     """
-    N_list = _strictly_increasing(N_list)
+    N_list = _truncation_ladder(N_list)
     vals = tuple(_classical_norm(m, s, N) for N in N_list)
     return GrowthReport(m.label, "classical", s, N_list, vals,
                         *_growth_ratios(vals), classify_growth(vals, thresholds))

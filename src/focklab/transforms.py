@@ -8,29 +8,28 @@ Conventions (all on R^n, coefficient layout is the graded enumeration):
     Weyl         W_a f(z) = f(z - a) e^{-|a|^2/2 + z.conj(a)}
 
 The bargmann-h system diagonalizes F with phases (-i)^|alpha| and is mapped
-by B onto the monomials e_alpha; both facts are verified numerically by a
-cached self-test before the first kernel quadrature runs.  Matrix identity
-checks compare on the interior block |alpha| <= N/2: finite sections of
-non-diagonal operators are faithful only away from the truncation edge.
+by B onto the monomials e_alpha, so B is the identity on coefficients between
+the bargmann-h and fock tags.  Matrix identity checks compare on the interior
+block |alpha| <= N/2: finite sections of non-diagonal operators are faithful
+only away from the truncation edge.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, xlogy
 
-from .errors import AccuracyWarning, CalibrationError, GridMismatchError
+from .errors import AccuracyWarning, GridMismatchError
 from .hermite import (
     Convention,
     QuadratureGrid,
     SpectralVector,
     basis_table,
     gauss_hermite,
-    hermite_axis_table,
     index_array,
     index_count,
     ladder,
@@ -38,17 +37,12 @@ from .hermite import (
 
 __all__ = [
     "OperatorMatrix",
-    "DefectReport",
     "interior_count",
     "interior_block",
     "interior_frobenius",
     "fourier",
-    "inverse_fourier",
     "fourier_quadrature",
-    "bargmann",
-    "inverse_bargmann",
     "bargmann_quadrature",
-    "project_fock",
     "translation_matrix",
     "weyl_matrix",
     "conjugation_check",
@@ -95,15 +89,6 @@ class OperatorMatrix:
         return float(np.linalg.norm(interior_block(d, self.dim, self.truncation)))
 
 
-@dataclass(frozen=True)
-class DefectReport:
-    """Outcome of an operator-identity check: a single defect plus context."""
-
-    check: str
-    defect: float
-    details: dict = field(default_factory=dict)
-
-
 def interior_count(n: int, N: int) -> int:
     return index_count(n, N // 2)
 
@@ -137,13 +122,6 @@ def fourier(v: SpectralVector) -> SpectralVector:
     return v.with_coeffs(v.coeffs * _fourier_phases(v.dim, v.truncation))
 
 
-def inverse_fourier(v: SpectralVector) -> SpectralVector:
-    if v.convention is Convention.PAPER_H:
-        raise ValueError("the diagonal Fourier form holds in the bargmann-h/fock systems; "
-                         "convert the vector first")
-    return v.with_coeffs(v.coeffs * np.conj(_fourier_phases(v.dim, v.truncation)))
-
-
 def fourier_quadrature(f, x, grid: QuadratureGrid) -> np.ndarray:
     """Direct kernel quadrature  pi^{-n/2} Sigma W~ e^{-2i x.y} f(y).
 
@@ -166,78 +144,27 @@ def fourier_quadrature(f, x, grid: QuadratureGrid) -> np.ndarray:
     return out[0] if single else out
 
 
-@lru_cache(maxsize=1)
-def _fock_map_selftest() -> bool:
-    """One-time calibration: the kernel maps hh_0 to the constant 1 while the
-    paper-h ground state goes to a Gaussian-in-z, fixing which Hermite
-    normalization the Fock map diagonalizes."""
-    g2 = gauss_hermite(48, 2.0, 1)
-    z = np.array([0.35 + 0.2j, -0.6 + 0.45j, 1.0])
-    got = _fock_map(lambda y: hermite_axis_table(0, y, Convention.BARGMANN_H)[0], z[:, None], g2)
-    if np.abs(got - 1.0).max() > 1e-10:
-        raise CalibrationError("Fock-map self-test failed: hh_0 did not map to e_0")
-    got0 = _fock_map(lambda y: hermite_axis_table(0, y, Convention.PAPER_H)[0], z[:, None], g2)
-    c = (2.0 / math.pi) ** 0.25 * math.pi ** -0.25 * math.sqrt(2.0 * math.pi / 3.0)
-    if np.abs(got0 - c * np.exp(z * z / 6.0)).max() > 1e-10:
-        raise CalibrationError("Fock-map self-test failed: paper-h ground state shape")
-    return True
-
-
-def _fock_map(f, z: np.ndarray, grid2: QuadratureGrid) -> np.ndarray:
-    """(2/pi)^{n/4} Sigma_y W e^{2 z.y - z.z/2} f(y) at the (m, n) points z;
-    ``f`` gets the nodes as (Q, n), or as (Q,) when n = 1."""
-    n = grid2.dim
-    W = grid2.loaded_weights(1.0)  # w2 * e^{|y|^2}: the integrand keeps e^{-|y|^2} decay
-    y = grid2.nodes
-    ker = np.exp(2.0 * (z @ y.T) - 0.5 * np.sum(z * z, axis=1)[:, None])
-    vals = np.asarray(f(y if n > 1 else y[:, 0]), dtype=complex)
-    return (2.0 / math.pi) ** (n / 4) * (ker @ (W * vals))
-
-
 def bargmann_quadrature(f, z, grid2: QuadratureGrid) -> np.ndarray:
-    """Kernel quadrature of the Fock map at complex points z (tensorized).
+    """Kernel quadrature (2/pi)^{n/4} Sigma_y W e^{2 z.y - z.z/2} f(y) of the
+    Fock map at complex points z (tensorized).
 
     ``grid2`` is a scale-2 rule of dimension n; ``z`` is a scalar/array for
-    n = 1 or (m, n) for n > 1.  For basis inputs the integrand is polynomial
-    times an entire kernel, so convergence is superexponential.
+    n = 1 or (m, n) for n > 1, and ``f`` gets the nodes as (Q,) for n = 1 or
+    (Q, n) for n > 1.  For basis inputs the integrand is polynomial times an
+    entire kernel, so convergence is superexponential.
     """
     if grid2.scale != 2.0:
         raise GridMismatchError("the Fock-map quadrature needs a scale-2 grid")
-    _fock_map_selftest()
     n = grid2.dim
     z = np.asarray(z, dtype=complex)
     shape = z.shape if n == 1 else z.shape[:-1]
-    return _fock_map(f, z.reshape(-1, n), grid2).reshape(shape)[()]  # 0-d -> scalar
-
-
-def bargmann(v: SpectralVector) -> SpectralVector:
-    """Retag bargmann-h coefficients as Fock coefficients (the kernel map is
-    the identity on coefficients between these two systems)."""
-    if v.convention is not Convention.BARGMANN_H:
-        raise ValueError("the Fock map acts on bargmann-h vectors; convert first")
-    return replace(v, convention=Convention.FOCK)
-
-
-def inverse_bargmann(v: SpectralVector) -> SpectralVector:
-    if v.convention is not Convention.FOCK:
-        raise ValueError("expected a fock-tagged vector")
-    return replace(v, convention=Convention.BARGMANN_H)
-
-
-def project_fock(F, N: int, grid2n: QuadratureGrid) -> SpectralVector:
-    """Coefficients <F, e_alpha> of an entire function by Gaussian-measure
-    quadrature over C^n (grid2n: scale-1 rule of dimension 2n)."""
-    if grid2n.dim % 2:
-        raise GridMismatchError("Fock projection needs an even-dimensional grid")
-    if grid2n.scale != 1.0:
-        raise GridMismatchError("Fock projection needs a scale-1 grid")
-    n = grid2n.dim // 2
-    z = grid2n.complex_nodes()
-    pts = z if n > 1 else z[:, 0]
-    vals = np.asarray(F(pts), dtype=complex)
-    E = basis_table(n, N, pts, Convention.FOCK)
-    wts = grid2n.weights / math.pi ** n
-    return SpectralVector(n, N, Convention.FOCK, (np.conj(E) * wts) @ vals)
+    zm = z.reshape(-1, n)
+    y = grid2.nodes
+    W = grid2.loaded_weights(1.0)  # w2 * e^{|y|^2}: the integrand keeps e^{-|y|^2} decay
+    ker = np.exp(2.0 * (zm @ y.T) - 0.5 * np.sum(zm * zm, axis=1)[:, None])
+    vals = np.asarray(f(y if n > 1 else y[:, 0]), dtype=complex)
+    out = (2.0 / math.pi) ** (n / 4) * (ker @ (W * vals))
+    return out.reshape(shape)[()]  # 0-d -> scalar
 
 
 def _translation_axis(a: float, N: int, convention: Convention) -> np.ndarray:
@@ -306,7 +233,7 @@ def weyl_matrix(a, N: int) -> OperatorMatrix:
     return OperatorMatrix(N, av.size, ent, Convention.FOCK)
 
 
-def conjugation_check(a, N: int) -> DefectReport:
+def conjugation_check(a, N: int) -> float:
     """Interior Frobenius defect between the translation matrix (real-line
     quadrature, bargmann-h) and the Weyl matrix (analytic, Fock side).
 
@@ -316,12 +243,10 @@ def conjugation_check(a, N: int) -> DefectReport:
     av = np.atleast_1d(np.asarray(a, dtype=float))
     T = translation_matrix(av, N, Convention.BARGMANN_H)
     W = weyl_matrix(av.astype(complex), N)
-    d = interior_frobenius(T.entries, W.entries, T.dim, N)
-    return DefectReport("conjugation", d,
-                        {"N": N, "a": av.tolist(), "block": interior_count(T.dim, N)})
+    return interior_frobenius(T.entries, W.entries, T.dim, N)
 
 
-def translation_ladder_check(a, axis: int, v: SpectralVector) -> DefectReport:
+def translation_ladder_check(a, axis: int, v: SpectralVector) -> float:
     """Defect of the first-order commutation  (d/dx_j + x_j) tau_a
     = tau_a [ (d/dx_j + x_j) + a_j ]  on the interior coefficients.
 
@@ -336,20 +261,19 @@ def translation_ladder_check(a, axis: int, v: SpectralVector) -> DefectReport:
     inner = ladder(v, "lower", axis).coeffs + av[axis - 1] * v.coeffs
     rhs = T.entries @ inner
     m = interior_count(v.dim, v.truncation)
-    d = float(np.linalg.norm(lhs.coeffs[:m] - rhs[:m]))
-    return DefectReport("translation-ladder", d,
-                        {"N": v.truncation, "a": av.tolist(), "axis": axis, "block": m})
+    return float(np.linalg.norm(lhs.coeffs[:m] - rhs[:m]))
 
 
 def leibniz_check(f: SpectralVector, g: SpectralVector, axis: int = 1,
-                  projection_truncation: int | None = None) -> DefectReport:
-    """Defect of the product rule  H_j(fg) = (H_j f) g + f (H_j g) - x_j f g
-    with H_j = d/dx_j + x_j, products formed pointwise and re-projected.
+                  projection_truncation: int | None = None) -> tuple[float, float]:
+    """(defect, top_grade_defect) of the product rule
+    H_j(fg) = (H_j f) g + f (H_j g) - x_j f g  with H_j = d/dx_j + x_j,
+    products formed pointwise and re-projected.
 
     Both routes are compared on coefficient orders <= T-1 where T is the
     projection truncation (default 2N): lowering a T-truncated expansion is
-    only faithful below the top grade, whose mismatch is reported separately
-    as ``top_grade_defect`` (it decays as T grows).
+    only faithful below the top grade, whose mismatch is returned separately
+    as the top-grade defect (it decays as T grows).
     """
     if f.convention is not Convention.PAPER_H:
         f = replace(f, convention=Convention.PAPER_H)
@@ -378,10 +302,8 @@ def leibniz_check(f: SpectralVector, g: SpectralVector, axis: int = 1,
            - proj(lambda x: xs(x) * synthesize(f, x) * synthesize(g, x)).coeffs)
     orders = index_array(n, T).sum(axis=1)
     inner = orders <= T - 1
-    d = float(np.linalg.norm((lhs - rhs)[inner]))
-    top = float(np.linalg.norm((lhs - rhs)[~inner]))
-    return DefectReport("leibniz", d,
-                        {"projection_truncation": T, "axis": axis, "top_grade_defect": top})
+    return (float(np.linalg.norm((lhs - rhs)[inner])),
+            float(np.linalg.norm((lhs - rhs)[~inner])))
 
 
 def fractional_shift_defect(v: SpectralVector, sigma: float, axis: int = 1,

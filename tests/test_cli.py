@@ -43,9 +43,34 @@ def test_probe_rejects_out_of_range_s(s):
 
 
 def test_symbol_rejects_bad_quad_order():
+    # 600 is past the 512-node cap of the Gauss-Hermite rules
+    for order in ("10", "600"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("symbol", "--multiplier", "constant", "--quad-order", order)
+        assert exc.value.code == 2
+
+
+def test_probe_rejects_truncation_past_the_rule_cap():
     with pytest.raises(SystemExit) as exc:
-        run_cli("symbol", "--multiplier", "constant", "--quad-order", "10")
+        run_cli("probe", "--multiplier", "constant:1", "--N", "8", "--N", "300")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("ident", ["modulation:nan", "constant:inf", "bump:0", "bump:-1"])
+def test_probe_rejects_bad_multiplier_parameters(ident):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("probe", "--multiplier", ident, "--N", "8", "--N", "16")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("selector", ["translation:nan", "translation:-inf", "weyl:inf",
+                                      "weyl:nan+1j", "multiplier:modulation:nan"])
+def test_export_rejects_non_finite_selector_values(tmp_path, selector):
+    out = tmp_path / "m.mat"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("export", "--matrix", selector, "--N", "8", "--out", str(out))
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,6 @@ from focklab.multipliers import (
     bump,
     chirp43,
     constant,
-    grid_sampled,
     modulation,
     parse_multiplier,
     signum,
@@ -17,7 +16,7 @@ def test_constant():
     m = constant(2.5)
     xs = np.linspace(-3, 3, 7)
     assert np.all(m(xs) == 2.5)
-    assert m.sup_norm == 2.5
+    assert m.label == "constant:2.5"
 
 
 def test_modulation_unimodular():
@@ -58,19 +57,25 @@ def test_bump_profile():
     assert m(pts)[0] == pytest.approx(np.exp(-2))
 
 
-def test_grid_sampled_interp_and_extension():
-    xs = np.linspace(-1, 1, 201)
-    m = grid_sampled(xs, np.sin(xs) + 1j * xs)
-    assert m(np.array([0.5]))[0] == pytest.approx(np.sin(0.5) + 0.5j, abs=1e-4)
-    assert m(np.array([3.0]))[0] == pytest.approx(np.sin(1.0) + 1.0j, abs=1e-12)
-
-
 def test_parse_multiplier():
-    assert parse_multiplier("constant:2").sup_norm == 2.0
-    assert parse_multiplier("modulation:0.7").kind == "modulation"
-    assert parse_multiplier("signum").kind == "signum"
-    assert parse_multiplier("chirp43").kind == "chirp43"
-    assert parse_multiplier("bump").kind == "bump"
+    assert parse_multiplier("constant:2")(np.zeros(1))[0] == 2.0
+    assert parse_multiplier("modulation:0.7").label == "modulation:0.7"
+    assert parse_multiplier("signum").label == "signum"
+    assert parse_multiplier("chirp43").label == "chirp43"
+    assert parse_multiplier("bump").label == "bump"
     with pytest.raises(KeyError):
         parse_multiplier("nope")
     assert set(REGISTRY) == {"constant", "modulation", "signum", "chirp43", "bump"}
+
+
+@pytest.mark.parametrize("ident", ["modulation:nan", "constant:inf", "modulation:0.5,-inf",
+                                   "bump:nan"])
+def test_parse_multiplier_rejects_non_finite_parameters(ident):
+    with pytest.raises(ValueError, match="finite"):
+        parse_multiplier(ident)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0])
+def test_bump_width_must_be_positive(width):
+    with pytest.raises(ValueError, match="positive"):
+        bump(width)

@@ -40,7 +40,19 @@ from focklab.operators import (
     symbol_from_multiplier,
 )
 from focklab.spaces import eigenvalues
-from focklab.transforms import interior_block, interior_frobenius, project_fock, weyl_matrix
+from focklab.transforms import interior_block, interior_frobenius, weyl_matrix
+
+
+def project_fock(F, N, grid2n):
+    """Reference route onto the monomials: the coefficients <F, e_alpha> of
+    an entire function F by Gaussian-measure quadrature over C^n, with
+    ``grid2n`` a scale-1 rule of dimension 2n."""
+    n = grid2n.dim // 2
+    z = grid2n.complex_nodes()
+    pts = z if n > 1 else z[:, 0]
+    E = basis_table(n, N, pts, Convention.FOCK)
+    wts = grid2n.weights / math.pi ** n
+    return SpectralVector(n, N, Convention.FOCK, (np.conj(E) * wts) @ np.asarray(F(pts), complex))
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +300,7 @@ class TestOperatorNorm:
     def test_sup_norm_convergence(self):
         from focklab.multipliers import MultiplierSpec
 
-        m = MultiplierSpec("sin", "sin-shift", lambda x: (2 + np.sin(2 * x)) / 3, 1.0)
+        m = MultiplierSpec("sin-shift", lambda x: (2 + np.sin(2 * x)) / 3)
         errs = [abs(operator_norm(conjugated_multiplier_matrix(m, N), 0.0) - 1.0)
                 for N in (10, 20, 40)]
         assert errs[0] > errs[1] > errs[2]
@@ -357,6 +369,13 @@ class TestProbes:
         with pytest.raises(ValueError, match="strictly increasing"):
             probe(constant(1.0), 1.0, (16, 8), thresholds)
 
+    @pytest.mark.parametrize("probe", [boundedness_probe, classical_sobolev_probe])
+    @pytest.mark.parametrize("N_list", [(), (64,), (2, 8), (8, 300)],
+                             ids=["empty", "single", "below-4", "above-248"])
+    def test_truncation_ladder_validated(self, probe, N_list, thresholds):
+        with pytest.raises(ValueError, match="truncation"):
+            probe(constant(1.0), 1.0, N_list, thresholds)
+
     def test_classification_rule(self):
         th = GrowthThresholds(G=1.2, S=1.1)
         assert classify_growth([1.0, 1.01, 1.02], th) == "stable"
@@ -369,8 +388,7 @@ class TestProbes:
         m = parse_multiplier("constant:3")
         from focklab.multipliers import MultiplierSpec
 
-        scaled = MultiplierSpec("scaled-signum", "scaled-signum",
-                                lambda x: 3.0 * np.sign(x), 3.0)
+        scaled = MultiplierSpec("scaled-signum", lambda x: 3.0 * np.sign(x))
         r = boundedness_probe(scaled, 1.0, (8, 16, 32), thresholds)
         assert r.classification == base.classification
         for a, b in zip(r.values, base.values):
