@@ -50,6 +50,10 @@ def modulation(c) -> MultiplierSpec:
     cv = np.atleast_1d(np.asarray(c, dtype=float))
 
     def ev(x: np.ndarray) -> np.ndarray:
+        dim = 1 if x.ndim == 1 else x.shape[1]
+        if dim != cv.size:
+            raise ValueError(f"a {cv.size}-component modulation cannot act on points "
+                             f"of dimension {dim}")
         dot = cv[0] * x if x.ndim == 1 else x @ cv
         return np.exp(-2j * dot)
 
@@ -102,15 +106,32 @@ REGISTRY: dict[str, Callable[..., MultiplierSpec]] = {
 }
 
 
+# (fewest, most) parameters an identifier may give each entry; every
+# identifier consumer is one-dimensional, so a modulation has one component
+_PARAM_COUNTS = {
+    "constant": (0, 1),
+    "modulation": (1, 1),
+    "signum": (0, 0),
+    "chirp43": (0, 0),
+    "bump": (0, 1),
+}
+
+
 def parse_multiplier(ident: str) -> MultiplierSpec:
-    """Build a registry multiplier from an identifier like ``modulation:0.7``."""
+    """Build a registry multiplier from an identifier like ``modulation:0.7``.
+
+    Raises KeyError for an unknown name and ValueError for a parameter list
+    of the wrong length or with non-finite entries.
+    """
     name, _, arg = ident.partition(":")
     if name not in REGISTRY:
         raise KeyError(f"unknown multiplier {name!r}; known: {sorted(REGISTRY)}")
-    factory = REGISTRY[name]
-    if not arg:
-        return factory()
-    vals = [float(p) for p in arg.split(",")]
+    vals = [float(p) for p in arg.split(",")] if arg else []
     if not np.isfinite(vals).all():
         raise ValueError(f"multiplier parameters must be finite; got {arg!r}")
-    return factory(vals[0] if len(vals) == 1 else vals)
+    lo, hi = _PARAM_COUNTS[name]
+    if not lo <= len(vals) <= hi:
+        want = ("no parameters" if hi == 0 else "exactly one parameter" if lo == 1
+                else "at most one parameter")
+        raise ValueError(f"multiplier {name!r} takes {want}; got {len(vals)} in {ident!r}")
+    return REGISTRY[name](*vals)

@@ -98,14 +98,18 @@ class SymbolSpec:
     nodes: np.ndarray = field(repr=False)
     node_coeffs: np.ndarray = field(repr=False)
 
-    def __call__(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
+    def _check_node_range(self, im_max: float) -> None:
+        """Warn when evaluation reaches |Im z| = ``im_max`` beyond the node range."""
         t_max = float(np.abs(self.nodes).max())
-        if np.abs(flat.imag).max(initial=0.0) > t_max:
+        if im_max > t_max:
             warnings.warn(
                 f"symbol evaluated at |Im z| > node range {t_max:.1f}; "
                 "increase the symbol quadrature order", AccuracyWarning)
+
+    def __call__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        self._check_node_range(np.abs(flat.imag).max(initial=0.0))
         waves = np.exp(2j * np.outer(flat, self.nodes))
         out = np.exp(0.5 * flat * flat) * (waves @ self.node_coeffs)
         return out[0] if z.ndim == 0 else out.reshape(z.shape)
@@ -174,8 +178,18 @@ def apply_integral_operator(sym: SymbolSpec, F, z, grid2n: QuadratureGrid) -> np
     """Literal quadrature of  Int F(w) e^{z.conj(w)} phi(z - conj(w)) dmu(w)
     at one or more points z; F is a fock-tagged vector or a callable.
 
+    The sum runs over every mesh node.  On the x-major tensor mesh
+    w = x + iy the argument is z - conj(w) = (z - x) + iy, so the symbol's
+    plane waves split as e^{2i t_q z} e^{-2i t_q x} e^{-2 t_q y}: phi at all
+    Q^2 nodes is one (Q x q) diag(c_q e^{2i t_q z}) (q x Q) product of two
+    axis tables built once per call, never a (mesh x q) table per point.
+
     Warns when the outermost mesh ring carries a non-negligible share of the
-    weighted integrand (the kernel growth is outrunning the Gaussian there).
+    weighted integrand (the kernel growth is outrunning the Gaussian there),
+    and, as the symbol does, when some node puts |Im(z - conj(w))| beyond the
+    symbol's node range.  Raises ``EvaluationRangeError`` when phi is not
+    finite at some node: the plane waves outgrow double precision once the
+    mesh reaches far beyond the symbol's node range.
     """
     w, wts = _complex_mesh(grid2n)
     if isinstance(F, SpectralVector):
@@ -187,9 +201,23 @@ def apply_integral_operator(sym: SymbolSpec, F, z, grid2n: QuadratureGrid) -> np
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     wbar = np.conj(w)
     edge = _edge_mask(grid2n)
+    ax, t = grid2n.axis_nodes, sym.nodes
+    # rows x_i of the x-wave table, columns y_j of the y-wave table
+    waves_x = np.exp(-2j * np.outer(ax, t))
+    with np.errstate(over="ignore"):  # reported below
+        waves_y = np.exp(-2.0 * np.outer(t, ax))
     out = np.empty(len(zs), dtype=complex)
     for i, zp in enumerate(zs):
-        terms = Fv * np.exp(zp * wbar) * sym(zp - wbar) * wts
+        sym._check_node_range(abs(zp.imag + ax).max())
+        u = zp - wbar
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            phi = np.exp(0.5 * u * u) * (
+                (waves_x * (sym.node_coeffs * np.exp(2j * t * zp))) @ waves_y).ravel()
+        if not np.isfinite(phi).all():
+            raise EvaluationRangeError(
+                f"symbol is not finite on the mesh of order Q={grid2n.order} at z={zp:.3g} "
+                f"with symbol order {t.size}; lower the mesh order or the symbol order")
+        terms = Fv * np.exp(zp * wbar) * phi * wts
         tot = np.abs(terms).sum()
         if tot > 0 and np.abs(terms[edge]).sum() > 1e-9 * tot:
             warnings.warn(
@@ -390,9 +418,10 @@ def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
 
 
 def _classical_operator(m: MultiplierSpec, s: float, N: int) -> LinearOperator:
-    """Multiplication by m on a periodized classical Sobolev grid, as the
-    matrix-free operator B = D F diag(m(x)) F^-1 D^-1 on Fourier coefficients
-    (adjoint included), with unitary FFTs F.
+    """Gram operator B^H B of multiplication by m on a periodized classical
+    Sobolev grid, B = D F diag(m(x)) F^-1 D^-1 on Fourier coefficients with
+    unitary FFTs F, as one matrix-free matvec
+    v -> D^-1 F diag(conj m) F^-1 D^2 F diag(m) F^-1 D^-1 v  (D^2 precomputed).
 
     Box half-width sqrt(2N+1)+1 (the spectral support scale of the matching
     truncation), 32*N samples, Fourier weights D = (1+|xi|^2)^{s/2}
@@ -414,24 +443,21 @@ def _classical_operator(m: MultiplierSpec, s: float, N: int) -> LinearOperator:
     k = np.fft.fftfreq(P, d=1.0 / P)
     xi = math.pi * np.abs(k) / (2.0 * L)
     D = (1.0 + xi ** 2) ** (s / 2.0)
+    D2 = D * D
+    mc = np.conj(mv)
 
     # LinearOperator hands matvecs (P,) or (P, 1) vectors
-    def B(v):
-        v = np.ravel(v)
-        return D * np.fft.fft(mv * np.fft.ifft(v / D, norm="ortho"), norm="ortho")
+    def gram(v):
+        u = np.fft.fft(mv * np.fft.ifft(np.ravel(v) / D, norm="ortho"), norm="ortho")
+        return np.fft.fft(mc * np.fft.ifft(D2 * u, norm="ortho"), norm="ortho") / D
 
-    def BH(v):
-        v = np.ravel(v)
-        return np.fft.fft(np.conj(mv) * np.fft.ifft(D * v, norm="ortho"),
-                          norm="ortho") / D
-
-    return LinearOperator((P, P), matvec=B, rmatvec=BH, dtype=complex)
+    return LinearOperator((P, P), matvec=gram, dtype=complex)
 
 
 def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -> float:
     """Largest singular value of the periodized classical Sobolev multiplication
-    operator B (see ``_classical_operator``), as the square root of the top
-    eigenvalue of the Gram operator B^H B.
+    operator B, as the square root of the top eigenvalue of its Gram operator
+    B^H B (``_classical_operator``).
 
     The eigenvalue comes from implicitly restarted Lanczos (ARPACK through
     ``eigsh``, relative residual tol 1e-12) on the matrix-free Gram operator,
@@ -443,8 +469,7 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -
     the largest converged Ritz value, or else the Rayleigh quotient of the
     start vector.
     """
-    B = _classical_operator(m, s, N)
-    G = B.H @ B
+    G = _classical_operator(m, s, N)
     rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
     v0 /= np.linalg.norm(v0)

@@ -274,12 +274,32 @@ class PartitionBump:
         return float(tot.min()), float(tot.max())
 
 
+@lru_cache(maxsize=8)
+def _localization_tables(bump: PartitionBump, convention: Convention, N2: int, M: int):
+    """The v-independent tables of ``localization_norm``, built once per key:
+    the projection grid, the (cells x nodes) table E of eta_m over the cells
+    |m|_inf <= M, the weightless basis table P at truncation N2, the loaded
+    weights and the boundary-cell mask (all read-only)."""
+    n, w = bump.dim, convention.weight_exponent
+    grid = gauss_hermite(N2 + 24, float(w), n)
+    cells = np.array(list(itertools.product(range(-M, M + 1), repeat=n)), dtype=float)
+    E = bump(grid.nodes[None, :, :] + cells[:, None, :]).reshape(len(cells), -1)
+    P = basis_table(n, N2, grid.nodes, convention, weightless=True)
+    lw = grid.loaded_weights(0.5 * w)
+    edge = np.abs(cells).max(axis=1) == M
+    for a in (E, P, lw, edge):
+        a.setflags(write=False)
+    return grid, E, P, lw, edge
+
+
 def localization_norm(v: SpectralVector, s: float, bump: PartitionBump,
                       lattice_radius: int) -> float:
     """[ Sigma_{|m|_inf <= M} || f eta_m ||_{s}^2 ]^(1/2) with f synthesized from v.
 
     Every localized piece f eta_m is re-projected at truncation N + 24 in one
-    product against the (cells x nodes) table of eta_m; a warning fires when
+    product against the (cells x nodes) table of eta_m, which with the other
+    v-independent tables is built once per (bump, convention, N + 24, M)
+    (``_localization_tables``); a warning fires when
     the boundary lattice cells carry more than 1e-6 of the total (the cutoff
     M does not cover the function).
     """
@@ -287,16 +307,12 @@ def localization_norm(v: SpectralVector, s: float, bump: PartitionBump,
         raise ValueError(f"bump dimension {bump.dim} != vector dimension {v.dim}")
     if s < 0:
         raise ValueError(f"smoothness order must be >= 0, got {s}")
-    n, N2, M = v.dim, v.truncation + 24, lattice_radius
-    w = v.convention.weight_exponent
-    grid = gauss_hermite(N2 + 24, float(w), n)
-    cells = np.array(list(itertools.product(range(-M, M + 1), repeat=n)), dtype=float)
-    E = bump(grid.nodes[None, :, :] + cells[:, None, :]).reshape(len(cells), -1)
-    P = basis_table(n, N2, grid.nodes, v.convention, weightless=True)
-    coeffs = P @ (grid.loaded_weights(0.5 * w) * synthesize(v, grid.nodes) * E).T
-    cell = eigenvalues(n, N2) ** s @ np.abs(coeffs) ** 2
+    N2, M = v.truncation + 24, lattice_radius
+    grid, E, P, lw, edge = _localization_tables(bump, v.convention, N2, M)
+    coeffs = P @ (lw * synthesize(v, grid.nodes) * E).T
+    cell = eigenvalues(v.dim, N2) ** s @ np.abs(coeffs) ** 2
     total = float(cell.sum())
-    boundary = float(cell[np.abs(cells).max(axis=1) == M].sum())
+    boundary = float(cell[edge].sum())
     if total > 0 and boundary > 1e-6 * total:
         warnings.warn(
             f"boundary lattice cells carry {boundary / total:.2e} of the localization "

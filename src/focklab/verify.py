@@ -660,7 +660,7 @@ def check_symbol_roundtrip(ctx: VerifyContext, cid: str) -> ReportRecord:
                              "bump_at_nodes": worst_bump}, tol)
 
 
-@check("operators.reproducing", tol=1e-6)
+@check("operators.reproducing", tol=1e-6, sub={"linearity": 1e-12})
 def check_reproducing(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Unit symbol reproduces point values and gives the identity matrix."""
     tol = ctx.tol(cid)
@@ -678,7 +678,7 @@ def check_reproducing(ctx: VerifyContext, cid: str) -> ReportRecord:
     lin = abs(apply_integral_operator(sym, v.with_coeffs(v.coeffs + 2 * w.coeffs), 0.5, g)
               - apply_integral_operator(sym, v, 0.5, g)
               - 2 * apply_integral_operator(sym, w, 0.5, g))
-    ok = worst <= tol and lin <= 1e-12
+    ok = worst <= tol and lin <= ctx.tol(cid + ".linearity")
     return _record(cid, ok, {"identity_defect": worst, "linearity": lin}, tol)
 
 

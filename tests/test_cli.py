@@ -63,6 +63,23 @@ def test_probe_rejects_bad_multiplier_parameters(ident):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("probe", "--multiplier", "signum:1"),
+    ("probe", "--multiplier", "chirp43:2"),
+    ("probe", "--multiplier", "bump:1,2"),
+    ("probe", "--multiplier", "modulation:0.5,0.5"),
+    ("symbol", "--multiplier", "chirp43:2"),
+    ("export", "--matrix", "multiplier:signum:1", "--N", "8"),
+])
+def test_wrong_multiplier_parameter_count_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert "takes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("selector", ["translation:nan", "translation:-inf", "weyl:inf",
                                       "weyl:nan+1j", "multiplier:modulation:nan"])
 def test_export_rejects_non_finite_selector_values(tmp_path, selector):

@@ -68,6 +68,21 @@ def test_parse_multiplier():
     assert set(REGISTRY) == {"constant", "modulation", "signum", "chirp43", "bump"}
 
 
+@pytest.mark.parametrize("ident", ["signum:1", "chirp43:2", "bump:1,2", "constant:1,2",
+                                   "modulation", "modulation:0.5,0.5"])
+def test_parse_multiplier_checks_parameter_count(ident):
+    name = ident.partition(":")[0]
+    with pytest.raises(ValueError, match=f"multiplier '{name}' takes"):
+        parse_multiplier(ident)
+
+
+def test_modulation_components_must_match_point_dimension():
+    with pytest.raises(ValueError, match="2-component .* dimension 1"):
+        modulation([0.5, 0.5])(np.linspace(-1, 1, 5))
+    with pytest.raises(ValueError, match="1-component .* dimension 2"):
+        modulation(0.5)(np.zeros((3, 2)))
+
+
 @pytest.mark.parametrize("ident", ["modulation:nan", "constant:inf", "modulation:0.5,-inf",
                                    "bump:nan"])
 def test_parse_multiplier_rejects_non_finite_parameters(ident):

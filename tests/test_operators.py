@@ -55,6 +55,17 @@ def project_fock(F, N, grid2n):
     return SpectralVector(n, N, Convention.FOCK, (np.conj(E) * wts) @ np.asarray(F(pts), complex))
 
 
+def apply_pointwise(sym, F, zs, grid2n):
+    """Reference route for ``apply_integral_operator``: the mesh sum of
+    F(w) e^{z.conj(w)} phi(z - conj(w)) w / pi with the symbol evaluated
+    point by point through ``SymbolSpec.__call__``."""
+    w = grid2n.complex_nodes()[:, 0]
+    wbar = np.conj(w)
+    Fv = synthesize(F, w)
+    return np.array([np.sum(Fv * np.exp(z * wbar) * sym(z - wbar) * grid2n.weights / math.pi)
+                     for z in zs])
+
+
 @pytest.fixture(scope="module")
 def thresholds():
     return load_calibration().growth_thresholds
@@ -147,6 +158,23 @@ class TestIntegralOperator:
             # exact pointwise shift action, free of output truncation
             want = synthesize(v, z - c) * np.exp(-c * c / 2 + z * c)
             assert abs(got - want) <= 1e-8
+
+    @pytest.mark.parametrize("m", [constant(1.0), bump(), modulation(0.7)],
+                             ids=lambda m: m.label)
+    def test_matches_pointwise_symbol_route(self, m, grid_c):
+        sym = symbol_from_multiplier(m)
+        v = random_vector(1, 6, Convention.FOCK, 5)
+        zs = np.array([0.3 + 0.2j, -0.8j, 1.1, 2 + 1j])
+        got = apply_integral_operator(sym, v, zs, grid_c)
+        want = apply_pointwise(sym, v, zs, grid_c)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_non_finite_symbol_raises(self):
+        # e^{-2 t y} overflows: mesh nodes reach |y| ~ 19, symbol nodes |t| ~ 22
+        sym = symbol_from_multiplier(bump(), quad_order=512)
+        v = random_vector(1, 4, Convention.FOCK, 6)
+        with pytest.raises(EvaluationRangeError, match="not finite"):
+            apply_integral_operator(sym, v, 0.3, gauss_hermite(200, 1.0, 2))
 
     def test_matrix_unit_symbol_identity(self):
         sym = symbol_from_multiplier(constant(1.0))
@@ -314,6 +342,21 @@ class TestOperatorNorm:
                 assert a == pytest.approx(b, rel=1e-5)
 
 
+def classical_dense(m, s, N):
+    """Reference matrix B = D F diag(m(x)) F^H D^-1 of the periodized
+    classical multiplication operator, from an explicit unitary DFT matrix F:
+    box [-L, L), L = sqrt(2N+1) + 1, P = 32N samples and Fourier weights
+    D = (1 + xi^2)^{s/2}, xi = pi |k| / (2L)."""
+    L = math.sqrt(2 * N + 1) + 1
+    P = 32 * N
+    j = np.arange(P)
+    F = np.exp(-2j * np.pi * (np.outer(j, j) % P) / P) / math.sqrt(P)
+    k = np.where(j < P - P // 2, j, j - P)
+    D = (1 + (np.pi * np.abs(k) / (2 * L)) ** 2) ** (s / 2)
+    x = -L + 2 * L * j / P
+    return (D[:, None] * F * m(x)) @ F.conj().T / D
+
+
 class TestClassicalNorm:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("label", ["constant", "constant:2.5", "signum", "chirp43",
@@ -321,10 +364,13 @@ class TestClassicalNorm:
     def test_matches_dense_svd(self, label, s):
         # signum at s=0 has a degenerate Gram spectrum
         m = parse_multiplier(label)
-        B = _classical_operator(m, s, 8)
-        dense = np.column_stack([B.matvec(e) for e in np.eye(B.shape[0], dtype=complex)])
-        want = np.linalg.norm(dense, 2)
-        assert _classical_norm(m, s, 8) == pytest.approx(want, rel=1e-10)
+        B = classical_dense(m, s, 8)
+        assert _classical_norm(m, s, 8) == pytest.approx(np.linalg.norm(B, 2), rel=1e-10)
+        G = _classical_operator(m, s, 8)
+        gram = np.column_stack([G.matvec(e) for e in np.eye(G.shape[0], dtype=complex)])
+        want = B.conj().T @ B
+        # the reference's rounding grows with the spread of D: 1.8e-12 at s=3
+        assert np.linalg.norm(gram - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_restart_cap_warns_with_lower_bound(self):
         m = parse_multiplier("bump:1.5")
@@ -408,8 +454,16 @@ def test_growth_warning_at_uncompensated_nodes():
     sym = symbol_from_multiplier(bump(), quad_order=64)
     v = random_vector(1, 4, Convention.FOCK, 9)
     g = gauss_hermite(16, 1.0, 2)
-    with pytest.warns(UserWarning):
+    with pytest.warns(AccuracyWarning, match="kernel growth at z=3.5"):
         apply_integral_operator(sym, v, 3.5 + 0.5j, g)
+
+
+def test_node_range_warning_on_mesh():
+    # a 32-node symbol reaches |t| <= 5.0, while the 24-node mesh has |y| up to 6.0
+    sym = symbol_from_multiplier(bump(), quad_order=32)
+    v = random_vector(1, 4, Convention.FOCK, 9)
+    with pytest.warns(AccuracyWarning, match="node range 5.0"):
+        apply_integral_operator(sym, v, 0.3, gauss_hermite(24, 1.0, 2))
 
 
 def test_symbol_fock_projection_agrees_with_evaluator(grid_c):

@@ -12,6 +12,7 @@ from focklab.hermite import Convention, SpectralVector, index_array, random_vect
 from focklab.spaces import (
     PartitionBump,
     _eigenvalue_integrals,
+    _localization_tables,
     _smooth_step,
     fractional_H,
     heat_kernel_value,
@@ -296,6 +297,18 @@ class TestLocalization:
         two = localization_norm(fg, 0.0, PartitionBump(dim=2), 6)
         one = localization_norm(f, 0.0, b1, 6) * localization_norm(g, 0.0, b1, 6)
         assert abs(two / one - 1.0) <= 2e-4
+
+    def test_repeat_calls_bit_identical_on_read_only_tables(self):
+        b = PartitionBump()
+        v = random_vector(1, 16, Convention.PAPER_H, 5, band=8)
+        first = localization_norm(v, 1.0, b, 8)
+        assert localization_norm(v, 1.0, b, 8) == first
+        grid, *tables = _localization_tables(b, Convention.PAPER_H, 40, 8)
+        assert _localization_tables(b, Convention.PAPER_H, 40, 8)[1] is tables[0]
+        for a in tables:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_boundary_warning(self):
         b = PartitionBump()
