@@ -273,10 +273,23 @@ def integral_operator_matrix(sym: SymbolSpec, N: int,
     return OperatorMatrix(N, 1, ent, Convention.FOCK)
 
 
+def _binary_scale(x: np.ndarray) -> float:
+    """The power of two 2^e with max|x| = f 2^e, 1/2 <= f < 1 (1 for a zero
+    or non-finite array), e clipped to [-1022, 1023] so that 2^e and 2^-e
+    are finite.  Dividing by it is exact and keeps squared magnitudes clear
+    of overflow and underflow."""
+    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    return math.ldexp(1.0, min(max(e, -1022), 1023))
+
+
 def multiplier_matrix(m: MultiplierSpec, N: int,
                       grid: QuadratureGrid | None = None) -> OperatorMatrix:
     """Entries Int m(x) hh_beta(x) hh_alpha(x) dx in the bargmann-h system
-    (products carry e^{-2x^2}, so a scale-2 rule of order >= 2N applies)."""
+    (products carry e^{-2x^2}, so a scale-2 rule of order >= 2N applies).
+
+    The samples m(x) enter divided by their power-of-two scale and the
+    entries are scaled back (exact), which keeps their products with the
+    tiny outer weights clear of underflow when |m| is tiny."""
     if grid is None:
         grid = gauss_hermite(2 * N + 16, 2.0, 1)
     if grid.scale != 2.0:
@@ -287,8 +300,9 @@ def multiplier_matrix(m: MultiplierSpec, N: int,
     pts = grid.nodes if n > 1 else grid.nodes[:, 0]
     P = basis_table(n, N, grid.nodes, Convention.BARGMANN_H, weightless=True)
     vals = m(pts)
-    ent = (P * (grid.weights * vals)) @ P.T
-    return OperatorMatrix(N, n, ent, Convention.BARGMANN_H)
+    scale = _binary_scale(vals)
+    ent = (P * (grid.weights * (vals / scale))) @ P.T
+    return OperatorMatrix(N, n, ent * scale, Convention.BARGMANN_H)
 
 
 def conjugated_multiplier_matrix(m: MultiplierSpec, N: int,
@@ -304,37 +318,52 @@ def conjugated_multiplier_matrix(m: MultiplierSpec, N: int,
     return OperatorMatrix(N, Mm.dim, ent, Convention.FOCK)
 
 
-def operator_norm(A: OperatorMatrix, s: float = 0.0, max_iter: int = 10_000) -> float:
-    """Largest singular value of D^{s/2} A D^{-s/2}, D = diag(2|alpha|+n),
-    by power iteration on the Gram matrix with a deterministic seeded start,
-    to a relative Rayleigh-quotient step of 1e-10.
+def operator_norm(A: OperatorMatrix, s: float = 0.0, max_iter: int = 64) -> float:
+    """Largest singular value of B = D^{s/2} A D^{-s/2}, D = diag(2|alpha|+n),
+    by power iteration with repeated squaring on the Gram matrix G = B^H B,
+    from a deterministic seeded start, to a relative Rayleigh-quotient step
+    of 1e-13.
+
+    Step k applies P = G^(2^k) to the iterate, takes the Rayleigh quotient
+    of G at the normalized result, then squares P (renormalized by its
+    largest entry).  After k steps the iterate is G^(2^k - 1) v0, so a top
+    cluster with relative gap g separates in about log2(1/g) steps.
+    ``max_iter`` caps the steps, each one n^3 product; the default 64 reaches
+    G^(2^64), which separates any gap above rounding.  A enters divided by
+    its power-of-two scale (exact), so that neither the weights nor G
+    overflow or underflow, and the norm is scaled back.
 
     Non-convergence is reported as a warning carrying the Rayleigh bracket.
     """
     lam = eigenvalues(A.dim, A.truncation)
     d = lam ** (s / 2.0)
-    B = (d[:, None] * A.entries) / d[None, :]
+    scale = _binary_scale(A.entries)
+    B = (d[:, None] * (A.entries / scale)) / d[None, :]
     G = B.conj().T @ B
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
     v /= np.linalg.norm(v)
+    P = G
     prev = 0.0
     for _ in range(max_iter):
-        y = G @ v
-        ray = float(np.real(np.vdot(v, y)))
+        y = P @ v
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return 0.0
         v = y / ny
-        if abs(ray - prev) <= 1e-10 * max(1.0, abs(ray)):
-            return math.sqrt(max(ray, 0.0))
+        ray = float(np.real(np.vdot(v, G @ v)))
+        if abs(ray - prev) <= 1e-13 * max(1.0, abs(ray)):
+            return math.sqrt(max(ray, 0.0)) * scale
         prev = ray
-    hi = math.sqrt(float(np.linalg.norm(G, ord=np.inf)))
+        P = P @ P
+        P /= np.abs(P).max()
+    lo = math.sqrt(max(prev, 0.0)) * scale
+    hi = math.sqrt(float(np.linalg.norm(G, ord=np.inf))) * scale
     warnings.warn(
-        f"power iteration did not reach tol=1e-10 in {max_iter} iterations; "
-        f"Rayleigh bracket [{math.sqrt(max(prev, 0.0)):.6e}, {hi:.6e}]",
+        f"power iteration did not reach tol=1e-13 in {max_iter} iterations; "
+        f"Rayleigh bracket [{lo:.6e}, {hi:.6e}]",
         ConvergenceWarning)
-    return math.sqrt(max(prev, 0.0))
+    return lo
 
 
 @dataclass(frozen=True)
@@ -417,11 +446,16 @@ def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
                         *_growth_ratios(vals), classify_growth(vals, thresholds))
 
 
-def _classical_operator(m: MultiplierSpec, s: float, N: int) -> LinearOperator:
+def _classical_operator(m: MultiplierSpec, s: float,
+                        N: int) -> tuple[LinearOperator, float]:
     """Gram operator B^H B of multiplication by m on a periodized classical
     Sobolev grid, B = D F diag(m(x)) F^-1 D^-1 on Fourier coefficients with
     unitary FFTs F, as one matrix-free matvec
     v -> D^-1 F diag(conj m) F^-1 D^2 F diag(m) F^-1 D^-1 v  (D^2 precomputed).
+
+    The samples m(x) are divided by their power-of-two scale, returned with
+    the operator: it is the Gram operator of B / scale, exact, and clear of
+    overflow and underflow.
 
     Box half-width sqrt(2N+1)+1 (the spectral support scale of the matching
     truncation), 32*N samples, Fourier weights D = (1+|xi|^2)^{s/2}
@@ -433,6 +467,8 @@ def _classical_operator(m: MultiplierSpec, s: float, N: int) -> LinearOperator:
     P = 32 * N
     x = -L + 2.0 * L * np.arange(P) / P
     mv = m(x)
+    scale = _binary_scale(mv)
+    mv = mv / scale
     spec = np.abs(np.fft.fft(mv))
     k = np.abs(np.fft.fftfreq(P, d=1.0 / P))
     top = float(spec[k >= 0.9 * (P / 2)].sum() / max(spec.sum(), 1e-300))
@@ -451,7 +487,7 @@ def _classical_operator(m: MultiplierSpec, s: float, N: int) -> LinearOperator:
         u = np.fft.fft(mv * np.fft.ifft(np.ravel(v) / D, norm="ortho"), norm="ortho")
         return np.fft.fft(mc * np.fft.ifft(D2 * u, norm="ortho"), norm="ortho") / D
 
-    return LinearOperator((P, P), matvec=gram, dtype=complex)
+    return LinearOperator((P, P), matvec=gram, dtype=complex), scale
 
 
 def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -> float:
@@ -469,7 +505,7 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -
     the largest converged Ritz value, or else the Rayleigh quotient of the
     start vector.
     """
-    G = _classical_operator(m, s, N)
+    G, scale = _classical_operator(m, s, N)
     rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
     v0 /= np.linalg.norm(v0)
@@ -483,9 +519,9 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -
         ritz = np.real(exc.eigenvalues)
         lam = float(ritz.max()) if ritz.size else ray
         warnings.warn(f"classical-side Lanczos did not converge within {max_iter} restarts "
-                      f"at N={N}; returning the lower bound {math.sqrt(max(lam, 0.0)):.6e}",
-                      ConvergenceWarning)
-    return math.sqrt(max(lam, 0.0))
+                      f"at N={N}; returning the lower bound "
+                      f"{math.sqrt(max(lam, 0.0)) * scale:.6e}", ConvergenceWarning)
+    return math.sqrt(max(lam, 0.0)) * scale
 
 
 def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],

@@ -257,6 +257,18 @@ def test_probe_zero_multiplier_is_stable(tmp_path):
         assert r["values"] == [0.0, 0.0]
 
 
+def test_probe_huge_multiplier_is_stable(tmp_path):
+    # the squared norms of 1e300 overflow unless both sides scale them
+    out = tmp_path / "p.json"
+    assert run_cli("probe", "--multiplier", "constant:1e300", "--N", "8", "--N", "16",
+                   "--classical", "--out", str(out)) == 0
+    recs = [r["measured"] for r in json.loads(out.read_text())["records"]]
+    assert {r["side"] for r in recs} == {"hermite", "classical"}
+    for r in recs:
+        assert r["classification"] == "stable"
+        assert r["values"] == pytest.approx([1e300, 1e300], rel=1e-12)
+
+
 def test_probe_requires_increasing_N():
     with pytest.raises(SystemExit) as exc:
         run_cli("probe", "--multiplier", "constant:1", "--N", "16", "--N", "8")

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -307,10 +308,42 @@ class TestOperatorNorm:
         d = np.array([0.3, -2.5, 1.0, 0.1, 1.2], dtype=complex)
         M = OperatorMatrix(4, 1, np.diag(d), Convention.FOCK)
         assert operator_norm(M, 0.0) == pytest.approx(2.5, rel=1e-9)
-        # nearly degenerate top pair: stagnation-limited accuracy
+        # nearly degenerate top pair: squaring separates it in a few steps
         d2 = np.array([0.3, -2.5, 1.0, 0.1, 2.49], dtype=complex)
         M2 = OperatorMatrix(4, 1, np.diag(d2), Convention.FOCK)
-        assert operator_norm(M2, 0.0) == pytest.approx(2.5, rel=1e-6)
+        assert operator_norm(M2, 0.0) == pytest.approx(2.5, rel=1e-12)
+
+    @pytest.mark.parametrize("label, N", [("signum", 32), ("signum", 64), ("chirp43", 8),
+                                          ("chirp43", 16), ("modulation:0.5", 8)])
+    def test_former_stalls_match_svd(self, label, N):
+        # s=0 probes whose top singular values cluster: plain power iteration
+        # ran out of steps on each of them
+        A = conjugated_multiplier_matrix(parse_multiplier(label), N)
+        want = np.linalg.norm(A.entries, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            got = operator_norm(A, 0.0)
+        assert got == pytest.approx(want, rel=1e-11)
+
+    def test_step_cap_warns_with_bracket(self):
+        from focklab.transforms import OperatorMatrix
+
+        A = OperatorMatrix(4, 1, np.diag([1.0, 2.0, 2.0 - 1e-9, 0.5, 0.1]), Convention.FOCK)
+        with pytest.warns(ConvergenceWarning) as rec:
+            low = operator_norm(A, max_iter=2)
+        assert len(rec) == 1
+        lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(rec[0].message)).groups())
+        assert lo <= 2.0 <= hi
+        assert low <= 2.0
+
+    @pytest.mark.parametrize("c", [1.7e308, 1e300, 1e-300])
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_huge_and_tiny_multipliers(self, c, s):
+        # the weights or the Gram matrix of c * I would overflow or underflow unscaled
+        for N in (8, 16, 64):
+            got = operator_norm(conjugated_multiplier_matrix(constant(c), N), s)
+            assert got == pytest.approx(c * operator_norm(
+                conjugated_multiplier_matrix(constant(1.0), N), s), rel=1e-12, abs=0.0)
 
     def test_svd_oracle(self):
         rng = np.random.default_rng(0)
@@ -339,7 +372,7 @@ class TestOperatorNorm:
             for s in (0.0, 1.0):
                 a = operator_norm(conjugated_multiplier_matrix(m, 20), s)
                 b = operator_norm(multiplier_matrix(m, 20), s)
-                assert a == pytest.approx(b, rel=1e-5)
+                assert a == pytest.approx(b, rel=1e-11)
 
 
 def classical_dense(m, s, N):
@@ -366,8 +399,10 @@ class TestClassicalNorm:
         m = parse_multiplier(label)
         B = classical_dense(m, s, 8)
         assert _classical_norm(m, s, 8) == pytest.approx(np.linalg.norm(B, 2), rel=1e-10)
-        G = _classical_operator(m, s, 8)
+        G, scale = _classical_operator(m, s, 8)
+        # the operator is the Gram operator of B / scale
         gram = np.column_stack([G.matvec(e) for e in np.eye(G.shape[0], dtype=complex)])
+        gram *= scale * scale
         want = B.conj().T @ B
         # the reference's rounding grows with the spread of D: 1.8e-12 at s=3
         assert np.linalg.norm(gram - want) <= 1e-10 * np.linalg.norm(want)
@@ -378,6 +413,14 @@ class TestClassicalNorm:
         with pytest.warns(ConvergenceWarning, match="did not converge"):
             low = _classical_norm(m, 0.0, 64, max_iter=1)
         assert math.isfinite(low) and 0.0 < low <= full
+
+    @pytest.mark.parametrize("c", [1.7e308, 1e300, 1e-300])
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_huge_and_tiny_multipliers(self, c, s):
+        # m(x)^2 would overflow or underflow in the Gram operator unscaled
+        for N in (8, 16):
+            assert _classical_norm(constant(c), s, N) == pytest.approx(
+                c * _classical_norm(constant(1.0), s, N), rel=1e-12, abs=0.0)
 
     def test_zero_multiplier(self):
         # ARPACK rejects the null start vector a zero Gram operator produces
