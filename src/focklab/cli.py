@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +27,8 @@ from .calibration import (
     run_calibration,
     save_calibration,
 )
-from .errors import ConfigError, FockLabError
+from .errors import AccuracyWarning, ConfigError, FockLabError
+from .hermite import MAX_QUADRATURE_ORDER
 from .multipliers import parse_multiplier
 from .operators import (
     _truncation_ladder,
@@ -169,30 +171,64 @@ def _parse_range(spec: str) -> np.ndarray:
         _fail_config(f"bad range {spec!r}; expected start:stop:count")
 
 
+# A tabulated symbol value passes when the rules of orders q and 2q agree to
+# this relative difference.  On the closed-form symbols (constant,
+# modulation, bump) a passing value's true error was at most 91x the
+# difference, or 1.1e-11 where both rules agree to rounding (1.5e5 points,
+# orders 40..512).  Where rounding blown up by e^{z^2/2}, or plane waves
+# the rule cannot resolve, leave no digits, the rules disagree.
+SYMBOL_TOL = 1e-8
+
+
+def _order_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| / max(|a|, |b|) per point: 0 where both vanish, inf where a
+    value or the difference is not finite (or its magnitude overflows)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diff = np.abs(a - b)
+        size = np.maximum(np.abs(a), np.abs(b))
+        rel = np.where(size > 0, diff / size, 0.0)
+    return np.where(np.isfinite(diff) & np.isfinite(size), rel, np.inf)
+
+
 def cmd_symbol(args) -> int:
+    q = args.quad_order
+    q_ref = 2 * q if 2 * q <= MAX_QUADRATURE_ORDER else q // 2
     try:
         m = parse_multiplier(args.multiplier)
-        sym = symbol_from_multiplier(m, quad_order=args.quad_order)
+        sym = symbol_from_multiplier(m, quad_order=q)
+        ref = symbol_from_multiplier(m, quad_order=q_ref)
     except (KeyError, ValueError) as exc:  # ValueError covers orders past the rule cap
         _fail_config(str(exc))
     re = _parse_range(args.z_re)
     im = _parse_range(args.z_im)
     zz = (re[:, None] + 1j * im[None, :]).ravel()
     vals = sym(zz)
+    # the reference only feeds the estimate; its range warnings and
+    # overflows show up there as an inconclusive point
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", AccuracyWarning)
+        diffs = _order_difference(vals, ref(zz))
     records = [
-        ReportRecord(check_id=f"symbol[{m.label}]", status="pass",
+        ReportRecord(check_id=f"symbol[{m.label}]",
+                     status="pass" if d <= SYMBOL_TOL else "inconclusive",
                      measured={"re_z": float(z.real), "im_z": float(z.imag),
-                               "re_phi": float(v.real), "im_phi": float(v.imag)})
-        for z, v in zip(zz, vals)
+                               "re_phi": float(v.real), "im_phi": float(v.imag),
+                               "order_diff_rel": float(d)},
+                     tolerance=SYMBOL_TOL)
+        for z, v, d in zip(zz, vals, diffs)
     ]
+    flagged = int(np.count_nonzero(diffs > SYMBOL_TOL))
+    if flagged:
+        print(f"{flagged} of {len(zz)} points inconclusive: symbol orders {q} and {q_ref} "
+              f"differ there by more than {SYMBOL_TOL:g} relative", file=sys.stderr)
     if args.fmt == "csv":
-        lines = ["re_z,im_z,re_phi,im_phi"]
-        lines += [f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},{float(v.imag)!r}"
-                  for z, v in zip(zz, vals)]
+        lines = ["re_z,im_z,re_phi,im_phi,order_diff_rel"]
+        lines += [f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},{float(v.imag)!r},"
+                  f"{float(d)!r}" for z, v, d in zip(zz, vals, diffs)]
         _write(args.out, "\n".join(lines) + "\n")
     else:
-        config = {"multiplier": args.multiplier, "quad_order": args.quad_order,
-                  "format": args.fmt}
+        config = {"multiplier": args.multiplier, "quad_order": q,
+                  "reference_order": q_ref, "format": args.fmt}
         _write(args.out, emit_json(records, config, _timestamp()))
     return 0
 

@@ -446,22 +446,15 @@ def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
                         *_growth_ratios(vals), classify_growth(vals, thresholds))
 
 
-def _classical_operator(m: MultiplierSpec, s: float,
-                        N: int) -> tuple[LinearOperator, float]:
-    """Gram operator B^H B of multiplication by m on a periodized classical
-    Sobolev grid, B = D F diag(m(x)) F^-1 D^-1 on Fourier coefficients with
-    unitary FFTs F, as one matrix-free matvec
-    v -> D^-1 F diag(conj m) F^-1 D^2 F diag(m) F^-1 D^-1 v  (D^2 precomputed).
+def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, float]:
+    """(m(x_j) / scale, scale, L): the classical side's samples of m on the
+    periodized box [-L, L), L = sqrt(2N+1)+1 (the spectral support scale of
+    the matching truncation), at P = 32*N equispaced points, divided by
+    their power-of-two scale (exact, and clear of overflow and underflow in
+    squared magnitudes).
 
-    The samples m(x) are divided by their power-of-two scale, returned with
-    the operator: it is the Gram operator of B / scale, exact, and clear of
-    overflow and underflow.
-
-    Box half-width sqrt(2N+1)+1 (the spectral support scale of the matching
-    truncation), 32*N samples, Fourier weights D = (1+|xi|^2)^{s/2}
-    with xi = pi k / (2L) matching the e^{-2ixy} pairing.  Warns when more
-    than 5% of the sampled spectrum's mass sits in the top frequency decile
-    (box-seam leakage alone stays well below that).
+    Warns when more than 5% of the sampled spectrum's mass sits in the top
+    frequency decile (box-seam leakage alone stays well below that).
     """
     L = math.sqrt(2.0 * N + 1.0) + 1.0
     P = 32 * N
@@ -476,6 +469,23 @@ def _classical_operator(m: MultiplierSpec, s: float,
         warnings.warn(
             f"multiplier {m.label} carries {top:.1%} of its sampled spectrum near "
             "the grid Nyquist limit; classical-side norms may alias", AccuracyWarning)
+    return mv, scale, L
+
+
+def _classical_operator(m: MultiplierSpec, s: float,
+                        N: int) -> tuple[LinearOperator, float]:
+    """Gram operator B^H B of multiplication by m on a periodized classical
+    Sobolev grid, B = D F diag(m(x)) F^-1 D^-1 on Fourier coefficients with
+    unitary FFTs F, as one matrix-free matvec
+    v -> D^-1 F diag(conj m) F^-1 D^2 F diag(m) F^-1 D^-1 v  (D^2 precomputed).
+
+    The samples come from ``_classical_samples``, whose power-of-two scale
+    is returned with the operator: it is the Gram operator of B / scale.
+    Fourier weights D = (1+|xi|^2)^{s/2} with xi = pi k / (2L) matching the
+    e^{-2ixy} pairing.
+    """
+    mv, scale, L = _classical_samples(m, N)
+    P = mv.size
     k = np.fft.fftfreq(P, d=1.0 / P)
     xi = math.pi * np.abs(k) / (2.0 * L)
     D = (1.0 + xi ** 2) ** (s / 2.0)
@@ -492,11 +502,15 @@ def _classical_operator(m: MultiplierSpec, s: float,
 
 def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -> float:
     """Largest singular value of the periodized classical Sobolev multiplication
-    operator B, as the square root of the top eigenvalue of its Gram operator
-    B^H B (``_classical_operator``).
+    operator B.
 
-    The eigenvalue comes from implicitly restarted Lanczos (ARPACK through
-    ``eigsh``, relative residual tol 1e-12) on the matrix-free Gram operator,
+    At s = 0 the weights are D = I and F is unitary, so B is unitarily
+    similar to diag(m(x_j)) and its norm is exactly max_j |m(x_j)| over the
+    samples of ``_classical_samples``; no iteration runs.
+
+    For s > 0 it is the square root of the top eigenvalue of the Gram
+    operator B^H B (``_classical_operator``), from implicitly restarted
+    Lanczos (ARPACK through ``eigsh``, relative residual tol 1e-12) on it,
     from a complex start vector with a fixed seed so that reports are
     byte-deterministic.  ARPACK restarts at most ``max_iter`` times; on these
     operators a restart costs about 10 Gram products, so the default caps
@@ -505,6 +519,9 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -
     the largest converged Ritz value, or else the Rayleigh quotient of the
     start vector.
     """
+    if s == 0.0:
+        mv, scale, _ = _classical_samples(m, N)
+        return float(np.abs(mv).max()) * scale
     G, scale = _classical_operator(m, s, N)
     rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
@@ -528,8 +545,9 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
                             thresholds: GrowthThresholds) -> GrowthReport:
     """Contrast probe: the same multiplication operator measured against the
     flat Fourier weights (1+|xi|^2)^{s/2} on a periodized box (1D only).  Each
-    norm is the top singular value of the matrix-free operator, from Lanczos
-    on its Gram operator (``_classical_norm``).
+    norm is the top singular value of the matrix-free operator
+    (``_classical_norm``): exactly max_j |m(x_j)| over the grid samples at
+    s = 0, and from Lanczos on its Gram operator at s > 0.
 
     The statement is about the periodized operator: a multiplier that is not
     box-periodic acquires a seam jump at +-L and can grow here even when its

@@ -3,10 +3,13 @@ import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focklab.cli import _build_parser, main
 from focklab.reporting import strip_timing
@@ -194,7 +197,7 @@ def test_symbol_constant(tmp_path):
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 9
     for row in rows:
-        re_z, im_z, re_phi, im_phi = map(float, row.split(","))
+        re_z, im_z, re_phi, im_phi, _ = map(float, row.split(","))
         assert abs(complex(re_phi, im_phi) - 1.0) <= 1e-10
 
 
@@ -202,7 +205,7 @@ def test_symbol_modulation_value(tmp_path):
     out = tmp_path / "s.csv"
     run_cli("symbol", "--multiplier", "modulation:1", "--format", "csv",
             "--z-re", "1:1:1", "--z-im", "0:0:1", "--out", str(out))
-    re_z, im_z, re_phi, im_phi = map(float, out.read_text().splitlines()[1].split(","))
+    re_z, im_z, re_phi, im_phi, _ = map(float, out.read_text().splitlines()[1].split(","))
     assert complex(re_phi, im_phi) == pytest.approx(math.exp(0.5), rel=1e-10)
 
 
@@ -210,8 +213,60 @@ def test_symbol_signum_origin(tmp_path):
     out = tmp_path / "s.csv"
     run_cli("symbol", "--multiplier", "signum", "--format", "csv",
             "--z-re", "0:0:1", "--z-im", "0:0:1", "--out", str(out))
-    _, _, re_phi, im_phi = map(float, out.read_text().splitlines()[1].split(","))
+    _, _, re_phi, im_phi, _ = map(float, out.read_text().splitlines()[1].split(","))
     assert abs(complex(re_phi, im_phi)) <= 1e-12
+
+
+def test_symbol_flags_points_without_digits(tmp_path, capsys):
+    # order 160 gives phi(30) = -1.83e192 (closed form 1.14e65) and phi(40) = -inf
+    out = tmp_path / "s.json"
+    with np.errstate(over="ignore"):
+        assert run_cli("symbol", "--multiplier", "bump", "--z-re=30:40:2", "--z-im=0:0:1",
+                       "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["reference_order"] == 320
+    assert [r["status"] for r in doc["records"]] == ["inconclusive"] * 2
+    assert all(r["measured"]["order_diff_rel"] > 1e-8 for r in doc["records"])
+    assert "2 of 2 points inconclusive" in capsys.readouterr().err
+
+
+def _symbol_closed_form(kind, p, z):
+    if kind == "constant":
+        return np.full_like(z, p)
+    if kind == "modulation":
+        return np.exp(p * z - p * p / 2)
+    a = 1 / p ** 2 + 2  # bump of width p
+    return math.sqrt(2 / a) * np.exp(z * z * (0.5 - 1 / a))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["constant", "modulation", "bump"]),
+       p=st.floats(0.3, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+       order=st.sampled_from(["40", "160", "400"]),
+       re0=st.floats(-40.0, 36.0), im0=st.floats(-12.0, 9.0))
+def test_symbol_points_match_closed_form_or_are_flagged(tmp_path_factory, kind, p, sign,
+                                                       order, re0, im0):
+    # Order 400 takes its estimate from order 200, the others from 2q.  Over
+    # 1.5e5 points, orders 40..512, the worst passing point had error
+    # 91 x its estimate, and 1.1e-11 where the two rules agreed to rounding
+    # (both share the rules' weight errors); the bounds are about 10x those.
+    if kind != "bump":
+        p *= sign
+    out = tmp_path_factory.mktemp("sym") / "s.json"
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        run_cli("symbol", "--multiplier", f"{kind}:{p!r}", "--quad-order", order,
+                f"--z-re={re0!r}:{re0 + 4.0!r}:3", f"--z-im={im0!r}:{im0 + 3.0!r}:3",
+                "--out", str(out))
+    for r in json.loads(out.read_text())["records"]:
+        mz = r["measured"]
+        if r["status"] == "inconclusive":
+            assert mz["order_diff_rel"] > 1e-8
+            continue
+        assert r["status"] == "pass" and mz["order_diff_rel"] <= 1e-8
+        want = _symbol_closed_form(kind, p, complex(mz["re_z"], mz["im_z"]))
+        err = abs(complex(mz["re_phi"], mz["im_phi"]) - want) / abs(want)
+        assert err <= 1000 * mz["order_diff_rel"] + 1e-10
 
 
 def test_symbol_unknown_multiplier():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import eigsh
 
+from focklab import operators
 from focklab.calibration import load_calibration
 from focklab.errors import (
     AccuracyWarning,
@@ -408,11 +410,46 @@ class TestClassicalNorm:
         assert np.linalg.norm(gram - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_restart_cap_warns_with_lower_bound(self):
+        # s > 0: at s = 0 the norm is closed-form and has no restarts to cap
         m = parse_multiplier("bump:1.5")
-        full = _classical_norm(m, 0.0, 64)
+        full = _classical_norm(m, 0.5, 64)
         with pytest.warns(ConvergenceWarning, match="did not converge"):
-            low = _classical_norm(m, 0.0, 64, max_iter=1)
+            low = _classical_norm(m, 0.5, 64, max_iter=1)
         assert math.isfinite(low) and 0.0 < low <= full
+
+    @pytest.mark.parametrize("N", [8, 16, 32, 64])
+    @pytest.mark.parametrize("label", ["constant", "modulation:0.7", "signum", "chirp43",
+                                       "bump", "bump:1.5", "modulation:0.5"])
+    def test_closed_form_at_s_zero_matches_lanczos(self, label, N):
+        # the Lanczos path on the s = 0 Gram operator, run here since the
+        # library no longer does; worst measured 1.3e-15 relative
+        m = parse_multiplier(label)
+        G, scale = _classical_operator(m, 0.0, N)
+        rng = np.random.default_rng(1234)
+        v0 = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
+        lam = eigsh(G, k=1, which="LA", tol=1e-12, maxiter=20000, v0=v0,
+                    return_eigenvectors=False)[0]
+        assert _classical_norm(m, 0.0, N) == pytest.approx(math.sqrt(lam) * scale,
+                                                            rel=1e-13, abs=0.0)
+
+    def test_s_zero_runs_no_lanczos(self, monkeypatch, thresholds):
+        def no_lanczos(*args, **kwargs):
+            raise RuntimeError("eigsh called")
+
+        monkeypatch.setattr(operators, "eigsh", no_lanczos)
+        r = classical_sobolev_probe(parse_multiplier("bump:1.5"), 0.0, (8, 16), thresholds)
+        assert r.values == (1.0, 1.0)
+        with pytest.raises(RuntimeError, match="eigsh called"):
+            classical_sobolev_probe(parse_multiplier("bump:1.5"), 0.5, (8, 16), thresholds)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_nyquist_warning(self, s):
+        # modulation:30 puts 5.1% of its N=8 samples' spectrum in the top decile
+        with pytest.warns(AccuracyWarning, match="5.1% of its sampled spectrum"):
+            _classical_norm(parse_multiplier("modulation:30"), s, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            _classical_norm(bump(), s, 8)
 
     @pytest.mark.parametrize("c", [1.7e308, 1e300, 1e-300])
     @pytest.mark.parametrize("s", [0.0, 1.0])
