@@ -312,7 +312,7 @@ def check_heat_semigroup(ctx: VerifyContext, cid: str) -> ReportRecord:
     return _record(cid, ok, {"coeff_defect": worst, "kernel_at_0": k60[-1]}, tol)
 
 
-@check("spaces.square-function", tol=1e-12)
+@check("spaces.square-function", tol=1e-13)
 def check_square_function(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Two-route square-function identity and the divergence detector."""
     tol = ctx.tol(cid)
@@ -337,7 +337,7 @@ def check_square_function(ctx: VerifyContext, cid: str) -> ReportRecord:
                    {"rel_defect": worst, "divergence_detector": fired}, tol)
 
 
-@check("spaces.kappa", tol=1e-12, sub={"contraction": 1e-10})
+@check("spaces.kappa", tol=1e-13, sub={"contraction": 1e-10})
 def check_kappa(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Quadrature kappa against the closed-form constant, relative, up to
     both ends of 0 < s < 2K, and the contraction it bounds."""

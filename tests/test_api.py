@@ -4,6 +4,8 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,17 @@ def test_every_declared_name_is_reached():
                 continue
             unreached.append(f"{module}.{name}")
     assert unreached == []
+
+
+def test_library_does_not_import_scipy_integrate():
+    # in a fresh interpreter: the test modules import scipy.integrate themselves
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import focklab.cli\n"
+            "from focklab.verify import VerifyContext, run_suite\n"
+            "run_suite(VerifyContext(seed=23), only='spaces')\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focklab.cli import _build_parser, main
+from focklab.errors import AccuracyWarning
 from focklab.reporting import strip_timing
 from focklab.verify import CHECK_IDS, CHECKS, TOLERANCES, VerifyContext
 
@@ -43,6 +44,16 @@ def test_probe_rejects_out_of_range_s(s):
     with pytest.raises(SystemExit) as exc:
         run_cli("probe", "--multiplier", "constant", "--s", s)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "calibrate"])
+def test_negative_seed_is_rejected(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--seed", "-70000", "--out", str(out))
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_symbol_rejects_bad_quad_order():
@@ -218,16 +229,25 @@ def test_symbol_signum_origin(tmp_path):
 
 
 def test_symbol_flags_points_without_digits(tmp_path, capsys):
-    # order 160 gives phi(30) = -1.83e192 (closed form 1.14e65) and phi(40) = -inf
+    # order 160 gives phi(30) = -1.83e192 (closed form 1.14e65) and phi(40) = -inf;
+    # both read inconclusive, and numpy's overflow warning is not printed
     out = tmp_path / "s.json"
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run_cli("symbol", "--multiplier", "bump", "--z-re=30:40:2", "--z-im=0:0:1",
                        "--out", str(out)) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     doc = json.loads(out.read_text())
     assert doc["config"]["reference_order"] == 320
     assert [r["status"] for r in doc["records"]] == ["inconclusive"] * 2
     assert all(r["measured"]["order_diff_rel"] > 1e-8 for r in doc["records"])
     assert "2 of 2 points inconclusive" in capsys.readouterr().err
+
+
+def test_symbol_still_warns_beyond_the_node_range(tmp_path):
+    with pytest.warns(AccuracyWarning, match="node range"):
+        run_cli("symbol", "--multiplier", "bump", "--z-re=0:0:1", "--z-im=30:30:1",
+                "--out", str(tmp_path / "s.json"))
 
 
 def _symbol_closed_form(kind, p, z):

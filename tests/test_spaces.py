@@ -14,6 +14,7 @@ from focklab.spaces import (
     _eigenvalue_integrals,
     _localization_tables,
     _smooth_step,
+    eigenvalues,
     fractional_H,
     heat_kernel_value,
     heat_semigroup,
@@ -186,12 +187,15 @@ class TestSquareFunction:
         assert square_function_norm_direct(v, s, K) \
             == pytest.approx(square_function_norm(v, s, K), rel=1e-12)
 
-    def test_lowest_eigenvalue_entry_of_a_wide_table(self):
-        # lam runs up to 513 at N = 256, so lam^s spans 22 decades at this s;
-        # the lam = 1 entry must still be accurate relative to itself
-        s, K = 8 + 1e-6, 8
+    @pytest.mark.parametrize("s,K", [(8 + 1e-6, 8)] + [
+        (s, K) for K in (1, 8, 16) for s in (1e-3, 0.5, 2 * K - 1e-6)])
+    def test_lowest_eigenvalue_entry_of_a_wide_table(self, s, K):
+        # lam runs up to 513 at N = 256, so lam^s spans up to 87 decades; every
+        # entry, the lam = 1 one included, must be accurate relative to itself
+        lam = eigenvalues(1, 256)
         table = _eigenvalue_integrals(s, K, 1, 256)
-        assert table[0] == pytest.approx(smoothing_constant(s, K) ** 2, rel=1e-12)
+        np.testing.assert_allclose(table, lam ** s * smoothing_constant(s, K) ** 2,
+                                   rtol=1e-13, atol=0)
 
 
 class TestWeightedFockNorm:
