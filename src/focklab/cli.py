@@ -52,11 +52,13 @@ def _fail_config(msg: str) -> "NoReturn":  # noqa: F821
 
 def _at_least(lo, kind=int):
     """argparse type: a finite ``kind`` value no smaller than ``lo`` (else
-    exit 2); nan and inf are out of range."""
+    exit 2); nan and +-inf are out of range."""
+    need = "finite" if lo == -math.inf else f"finite and >= {lo}"
+
     def parse(text: str):
         value = kind(text)
-        if not lo <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and >= {lo}; got {value}")
+        if not (math.isfinite(value) and value >= lo):
+            raise argparse.ArgumentTypeError(f"must be {need}; got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -88,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", type=str, default=None)
     v.add_argument("--seed", type=_at_least(0), default=2718)
     for key in TOLERANCES:
-        v.add_argument(f"--tol.{key}", type=float, dest=f"tol.{key}",
+        # zero and negative tolerances stay accepted: they force a check to fail
+        v.add_argument(f"--tol.{key}", type=_at_least(-math.inf, float), dest=f"tol.{key}",
                        help=argparse.SUPPRESS)
 
     s = sub.add_parser("symbol", help="tabulate a symbol on a complex grid",

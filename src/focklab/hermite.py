@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import EvaluationRangeError, FockLabError, GridMismatchError
 
@@ -155,7 +154,7 @@ def gauss_hermite(order: int, scale: float = 1.0, dim: int = 1) -> QuadratureGri
 
     Nodes of the scaled rule are the unit-scale nodes divided by sqrt(scale),
     weights divided by scale^(dim/2).  Orders beyond MAX_QUADRATURE_ORDER are
-    rejected; node-solver accuracy is not guaranteed there.
+    rejected; the rule is tested against independent references only up to it.
 
     Each rule is built once per process and shared: equal (int order,
     float scale, int dim) keys return the same read-only grid.
@@ -172,8 +171,52 @@ def gauss_hermite(order: int, scale: float = 1.0, dim: int = 1) -> QuadratureGri
 
 
 @lru_cache(maxsize=None)
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-scale n-point Gauss-Hermite nodes (ascending) and weights (Golub-Welsch).
+
+    The rule is symmetric, and the squares of its positive nodes are the
+    Gauss-Laguerre nodes for the weight t^alpha e^{-t}, alpha = -1/2 (n = 2m)
+    or +1/2 (n = 2m+1, plus the node 0): the eigenvalues of that m x m
+    Jacobi matrix.  One pass of the orthonormal Hermite recurrence then gives
+    p_{n-2}, p_{n-1}, p_n at each node, for one Newton step (p_n' =
+    sqrt(2n) p_{n-1}) and the Christoffel-Darboux weight 1/(n p_{n-1}^2),
+    with p_{n-1} moved to first order along the step.  The recurrence is
+    rescaled by powers of two as it runs; the weights take the accumulated
+    exponent back exactly, so those below the double range underflow to 0.
+    Built once per order and shared by every scale and dim (read-only).
+    """
+    m, odd = divmod(n, 2)
+    alpha = 0.5 if odd else -0.5
+    k = np.arange(1.0, m)
+    J = np.diag(2.0 * np.arange(m) + alpha + 1.0) + np.diag(np.sqrt(k * (k + alpha)), 1)
+    x = np.sqrt(np.linalg.eigvalsh(J, UPLO="U"))
+    if odd:
+        x = np.concatenate(([0.0], x))
+    prev = np.zeros_like(x)
+    cur = np.full_like(x, math.pi ** -0.25)
+    exp2 = np.zeros(x.shape, dtype=np.int64)  # p_j = cur * 2**exp2
+    for j in range(n - 1):
+        prev, cur = cur, math.sqrt(2.0 / (j + 1)) * x * cur - math.sqrt(j / (j + 1)) * prev
+        # a step grows |p| by at most sqrt(2) x + 1 < 50 for n <= 512, so
+        # rescaling every 8 steps stays far inside the double range
+        if j % 8 == 7 or j == n - 2:
+            _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+            prev, cur, exp2 = np.ldexp(prev, -e), np.ldexp(cur, -e), exp2 + e
+    p_n = math.sqrt(2.0 / n) * x * cur - math.sqrt((n - 1) / n) * prev
+    step = -p_n / (math.sqrt(2.0 * n) * cur)
+    x = x + step
+    p_last = cur + step * math.sqrt(2.0 * (n - 1)) * prev
+    w = np.ldexp(1.0 / (n * p_last * p_last), -2 * exp2)
+    # mirror, keeping a single 0 node for odd n
+    x, w = np.concatenate((-x[odd:][::-1], x)), np.concatenate((w[odd:][::-1], w))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=None)
 def _gauss_hermite(order: int, scale: float, dim: int) -> QuadratureGrid:
-    x, w = roots_hermite(order)
+    x, w = _hermite_rule(order)
     rt = math.sqrt(scale)
     ax = x / rt
     aw = w / rt

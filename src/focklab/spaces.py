@@ -123,6 +123,7 @@ def weighted_fock_norm(v: SpectralVector, s: float, grid2n: QuadratureGrid) -> f
     return math.sqrt(raw / normalizer)
 
 
+@lru_cache(maxsize=None)
 def smoothing_constant(s: float, K: int) -> float:
     """c_{s,K} = [ Int_0^inf (1 - e^{-u^2})^{2K} u^{-1-2s} du ]^(1/2), in closed form.
 
@@ -132,7 +133,8 @@ def smoothing_constant(s: float, K: int) -> float:
     or its limit Sigma C(2K,j) (-1)^j j^k ln j at d = 0.  The alternating sum
     cancels in double precision (c^2 < 0 for K >= 10), so S is formed with
     60 + 2K log10(4K) decimal digits (the largest term has 2K log10(4K)).
-    Raises ``DivergenceError`` outside 0 < s < 2K.
+    Raises ``DivergenceError`` outside 0 < s < 2K.  Each (s, K) is computed
+    once per process.
     """
     if K < 1 or not 0.0 < s < 2.0 * K:
         raise DivergenceError(

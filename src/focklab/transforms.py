@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, xlogy
 
 from .errors import AccuracyWarning, GridMismatchError
 from .hermite import (
@@ -205,16 +204,29 @@ def _weyl_axis(a: complex, N: int) -> np.ndarray:
     for m >= k,  W[m,k] = sqrt(k!/m!) conj(a)^{m-k} e^{-|a|^2/2} L_k^{(m-k)}(|a|^2),
     and for m < k the mirrored entry with (-a)^{k-m}, sqrt(m!/k!), L_m^{(k-m)}.
 
-    The prefactor's magnitude is formed in log space, so no factorial or
-    power over- or underflows; xlogy keeps 0 log 0 = 0, so a = 0 gives the
-    exact identity.
+    With lo = min(m,k), hi = max(m,k), d = |m-k|, L_lo^{(d)} = C(hi, lo) P[lo, d],
+    where the table P[j, alpha] = L_j^{(alpha)}(|a|^2) / C(j+alpha, j) is
+    filled for all alpha = 0..N at once by the forward three-term recurrence
+    in j, carried as increments P[j+1] - P[j] (which keeps small |a| exact
+    to rounding).  The rest, sqrt(hi!/lo!) |a|^d e^{-|a|^2/2} / d!, is formed
+    in log space from a log-factorial table, so no factorial or power over-
+    or underflows; |a|^0 is 1 also at a = 0, which gives the exact identity.
     """
     m, k = np.indices((N + 1, N + 1))
-    lo, d = np.minimum(m, k), np.abs(m - k)
+    lo, hi, d = np.minimum(m, k), np.maximum(m, k), np.abs(m - k)
     r = abs(a)
-    logmag = 0.5 * (gammaln(lo + 1) - gammaln(np.maximum(m, k) + 1)) + xlogy(d, r) - 0.5 * r * r
+    alpha = np.arange(N + 1.0)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(N + 1)])
+    log_pow = alpha * math.log(r) if r else np.where(alpha == 0, 0.0, -np.inf)  # log r^alpha
+    logmag = 0.5 * (log_fact[hi] - log_fact[lo]) - log_fact[d] + log_pow[d] - 0.5 * r * r
     phase = np.exp(1j * d * np.where(m >= k, -np.angle(a), np.angle(-a)))
-    return np.exp(logmag) * phase * eval_genlaguerre(lo, d, r * r)
+    P = np.empty((N + 1, N + 1))
+    P[0] = 1.0
+    step = np.zeros(N + 1)
+    for i in range(N):
+        step = (i * step - r * r * P[i]) / (i + 1 + alpha)
+        P[i + 1] = P[i] + step
+    return np.exp(logmag) * phase * P[lo, d]
 
 
 def _tensor_assemble(axes: list[np.ndarray], N: int) -> np.ndarray:

@@ -99,15 +99,17 @@ def test_every_declared_name_is_reached():
     assert unreached == []
 
 
-def test_library_does_not_import_scipy_integrate():
-    # in a fresh interpreter: the test modules import scipy.integrate themselves
+def test_library_imports_neither_scipy_integrate_nor_special(tmp_path):
+    # in a fresh interpreter: the test modules import both themselves
     code = ("import sys\n"
             f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
             "import focklab.cli\n"
             "from focklab.verify import VerifyContext, run_suite\n"
-            "run_suite(VerifyContext(seed=23), only='spaces')\n"
-            "print('scipy.integrate' in sys.modules)\n")
+            "run_suite(VerifyContext(seed=23))\n"
+            "focklab.cli.main(['export', '--matrix', 'weyl:0.5', '--N', '16', "
+            f"'--out', {str(tmp_path / 'W.mat')!r}])\n"
+            "print(*(m in sys.modules for m in ('scipy.integrate', 'scipy.special')))\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        timeout=300)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["False"]
+    assert r.stdout.split() == ["False", "False"]

