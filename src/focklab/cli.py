@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -65,8 +66,20 @@ def _at_least(lo, kind=int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative float literal
+    (``--tol.<key> -1e-3``, ``--s -1e-3``, ``-inf``) as a value, not as an
+    option, so the option's own range check reports it: argparse's test
+    knows only -12 and -1.5.  Subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="focklab",
         description="Spectral verification lab for Hermite/Fock operator identities.",
         epilog="examples:  focklab verify --format json --out report.json\n"

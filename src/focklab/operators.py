@@ -40,10 +40,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (
     AccuracyWarning,
@@ -473,10 +472,10 @@ def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, fl
 
 
 def _classical_operator(m: MultiplierSpec, s: float,
-                        N: int) -> tuple[LinearOperator, float]:
-    """Gram operator B^H B of multiplication by m on a periodized classical
-    Sobolev grid, B = D F diag(m(x)) F^-1 D^-1 on Fourier coefficients with
-    unitary FFTs F, as one matrix-free matvec
+                        N: int) -> tuple[Callable[[np.ndarray], np.ndarray], int, float]:
+    """(gram, P, scale): the Gram operator B^H B of multiplication by m on a
+    periodized classical Sobolev grid of P points, B = D F diag(m(x)) F^-1 D^-1
+    on Fourier coefficients with unitary FFTs F, as one matrix-free matvec
     v -> D^-1 F diag(conj m) F^-1 D^2 F diag(m) F^-1 D^-1 v  (D^2 precomputed).
 
     The samples come from ``_classical_samples``, whose power-of-two scale
@@ -492,15 +491,72 @@ def _classical_operator(m: MultiplierSpec, s: float,
     D2 = D * D
     mc = np.conj(mv)
 
-    # LinearOperator hands matvecs (P,) or (P, 1) vectors
     def gram(v):
-        u = np.fft.fft(mv * np.fft.ifft(np.ravel(v) / D, norm="ortho"), norm="ortho")
+        u = np.fft.fft(mv * np.fft.ifft(v / D, norm="ortho"), norm="ortho")
         return np.fft.fft(mc * np.fft.ifft(D2 * u, norm="ortho"), norm="ortho") / D
 
-    return LinearOperator((P, P), matvec=gram, dtype=complex), scale
+    return gram, P, scale
 
 
-def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -> float:
+# One Lanczos cycle builds at most _KRYLOV basis vectors and tests for
+# convergence only after the steps in _LANCZOS_TESTS: a 64 x 64 eigh costs
+# more than one Gram product at N = 64, so the tests thin out as j grows.
+_KRYLOV = 64
+_LANCZOS_TESTS = frozenset((1, 2, 4, 6, 8, 12, 16, 24, 32, 40, 48, 56))
+
+
+def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], P: int,
+                 max_iter: int) -> tuple[float, bool]:
+    """(theta, converged): the top eigenvalue theta of the Hermitian positive
+    semidefinite operator ``gram`` on C^P, by Lanczos with full
+    reorthogonalization and explicit restarts.
+
+    The basis V is stored row-wise.  Each step projects the new vector
+    against all of V by one classical Gram-Schmidt pass, and by a second
+    only when the remainder falls below 0.7 times the projection (the DGKS
+    test).  A cycle builds at most 64 vectors; it stops when the top Ritz
+    pair (theta, y) of the tridiagonal matrix has the residual
+    beta_j |y_last| <= 1e-12 theta (ARPACK's test; an exact breakdown
+    beta_j = 0, as for a zero operator, always passes), and otherwise the
+    next cycle restarts from the top Ritz vector.  The first cycle starts
+    from a complex vector with a fixed seed, so results are
+    byte-deterministic.  After ``max_iter`` cycles theta is returned
+    unconverged; a Ritz value is never above the top eigenvalue.
+    """
+    rng = np.random.default_rng(1234)
+    v = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    K = min(_KRYLOV, P)
+    V = np.empty((K, P), dtype=complex)
+    theta = 0.0
+    for _ in range(max_iter):
+        V[0] = v / np.linalg.norm(v)
+        alpha, beta = [], []
+        for j in range(K):
+            w = gram(V[j])
+            # V[:j + 1].conj() @ w would copy the basis on every step
+            h = np.conj(V[:j + 1] @ np.conj(w))
+            w -= h @ V[:j + 1]
+            beta_j = np.linalg.norm(w)
+            if beta_j < 0.7 * np.linalg.norm(h):
+                h2 = np.conj(V[:j + 1] @ np.conj(w))
+                w -= h2 @ V[:j + 1]
+                h += h2
+                beta_j = np.linalg.norm(w)
+            alpha.append(h[j].real)
+            beta.append(beta_j)
+            if j + 1 in _LANCZOS_TESTS or j + 1 == K or beta_j == 0.0:
+                T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+                ritz, Y = np.linalg.eigh(T)
+                theta, y = float(ritz[-1]), Y[:, -1]
+                if beta_j * abs(y[-1]) <= 1e-12 * theta or beta_j == 0.0:
+                    return theta, True
+            if j + 1 < K:
+                V[j + 1] = w / beta_j
+        v = y @ V
+    return theta, False
+
+
+def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 300) -> float:
     """Largest singular value of the periodized classical Sobolev multiplication
     operator B.
 
@@ -509,36 +565,23 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 2000) -
     samples of ``_classical_samples``; no iteration runs.
 
     For s > 0 it is the square root of the top eigenvalue of the Gram
-    operator B^H B (``_classical_operator``), from implicitly restarted
-    Lanczos (ARPACK through ``eigsh``, relative residual tol 1e-12) on it,
-    from a complex start vector with a fixed seed so that reports are
-    byte-deterministic.  ARPACK restarts at most ``max_iter`` times; on these
-    operators a restart costs about 10 Gram products, so the default caps
-    the work near 20,000 products.  When ARPACK does not
-    converge, a ConvergenceWarning is raised and a lower bound is returned:
-    the largest converged Ritz value, or else the Rayleigh quotient of the
-    start vector.
+    operator B^H B (``_classical_operator``), from restarted Lanczos
+    (``_lanczos_top``, relative residual 1e-12) on it.  ``max_iter`` caps
+    the restarts; a cycle is at most 64 Gram products, so the default caps
+    the work near 20,000 products.  When Lanczos does not converge, a
+    ConvergenceWarning is raised and the lower bound from the largest Ritz
+    value is returned.
     """
     if s == 0.0:
         mv, scale, _ = _classical_samples(m, N)
         return float(np.abs(mv).max()) * scale
-    G, scale = _classical_operator(m, s, N)
-    rng = np.random.default_rng(1234)
-    v0 = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
-    v0 /= np.linalg.norm(v0)
-    ray = float(np.real(np.vdot(v0, G @ v0)))
-    if ray == 0.0:  # m vanishes on the grid; ARPACK rejects a null start
-        return 0.0
-    try:
-        lam = float(eigsh(G, k=1, which="LA", tol=1e-12, maxiter=max_iter, v0=v0,
-                          return_eigenvectors=False)[0])
-    except ArpackNoConvergence as exc:
-        ritz = np.real(exc.eigenvalues)
-        lam = float(ritz.max()) if ritz.size else ray
+    gram, P, scale = _classical_operator(m, s, N)
+    lam, converged = _lanczos_top(gram, P, max_iter)
+    norm = math.sqrt(max(lam, 0.0)) * scale
+    if not converged:
         warnings.warn(f"classical-side Lanczos did not converge within {max_iter} restarts "
-                      f"at N={N}; returning the lower bound "
-                      f"{math.sqrt(max(lam, 0.0)) * scale:.6e}", ConvergenceWarning)
-    return math.sqrt(max(lam, 0.0)) * scale
+                      f"at N={N}; returning the lower bound {norm:.6e}", ConvergenceWarning)
+    return norm
 
 
 def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
@@ -547,7 +590,8 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     flat Fourier weights (1+|xi|^2)^{s/2} on a periodized box (1D only).  Each
     norm is the top singular value of the matrix-free operator
     (``_classical_norm``): exactly max_j |m(x_j)| over the grid samples at
-    s = 0, and from Lanczos on its Gram operator at s > 0.
+    s = 0, and from restarted Lanczos in numpy (``_lanczos_top``) on its Gram
+    operator at s > 0.
 
     The statement is about the periodized operator: a multiplier that is not
     box-periodic acquires a seam jump at +-L and can grow here even when its

@@ -39,11 +39,13 @@ def test_probe_and_export_reject_small_truncation(tmp_path):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("s", ["-1", "nan", "inf"])
-def test_probe_rejects_out_of_range_s(s):
+@pytest.mark.parametrize("s", ["-1", "nan", "inf", "-1e-3", "-1.5E+2", "-.5"])
+def test_probe_rejects_out_of_range_s(capsys, s):
     with pytest.raises(SystemExit) as exc:
         run_cli("probe", "--multiplier", "constant", "--s", s)
     assert exc.value.code == 2
+    # a range error, not argparse reading a negative number as an option
+    assert "expected one argument" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "calibrate"])
@@ -132,15 +134,29 @@ def test_zero_tolerance_forces_failure(tmp_path):
     assert doc["records"][0]["status"] == "fail"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_tol_override_is_config_error(tmp_path, capsys, value):
+@pytest.mark.parametrize("argv", [("--tol.spaces.kappa=nan",), ("--tol.spaces.kappa=inf",),
+                                  ("--tol.spaces.kappa=-inf",), ("--tol.spaces.kappa", "-inf")],
+                         ids=["nan", "inf", "-inf", "-inf-separate"])
+def test_non_finite_tol_override_is_config_error(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
     with pytest.raises(SystemExit) as exc:
-        run_cli("verify", "--only", "spaces.kappa", f"--tol.spaces.kappa={value}",
-                "--out", str(out))
+        run_cli("verify", "--only", "spaces.kappa", *argv, "--out", str(out))
     assert exc.value.code == 2
-    assert "--tol.spaces.kappa" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--tol.spaces.kappa" in err and "must be finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("--tol.spaces.kappa", "-0.001"),
+                                  ("--tol.spaces.kappa", "-1e-3"),
+                                  ("--tol.spaces.kappa=-1e-3",)],
+                         ids=["decimal", "exponent", "joined"])
+def test_negative_tol_override_fails_the_check(tmp_path, argv):
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--only", "spaces.kappa", *argv, "--out", str(out)) == 1
+    rec, = json.loads(out.read_text())["records"]
+    assert rec["status"] == "fail"
+    assert rec["tolerance"] == -1e-3
 
 
 def test_unknown_tol_override_is_config_error():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from focklab import operators
 from focklab.calibration import load_calibration
@@ -392,6 +392,17 @@ def classical_dense(m, s, N):
     return (D[:, None] * F * m(x)) @ F.conj().T / D
 
 
+def _eigsh_top(gram, P):
+    """Top eigenvalue of a Gram matvec by scipy's ARPACK (tol 1e-12), from
+    the library's seeded start vector: an independent reference for
+    ``operators._lanczos_top``."""
+    rng = np.random.default_rng(1234)
+    v0 = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    G = LinearOperator((P, P), matvec=lambda v: gram(np.ravel(v)), dtype=complex)
+    return eigsh(G, k=1, which="LA", tol=1e-12, maxiter=20000, v0=v0,
+                 return_eigenvectors=False)[0]
+
+
 class TestClassicalNorm:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("label", ["constant", "constant:2.5", "signum", "chirp43",
@@ -401,13 +412,13 @@ class TestClassicalNorm:
         m = parse_multiplier(label)
         B = classical_dense(m, s, 8)
         assert _classical_norm(m, s, 8) == pytest.approx(np.linalg.norm(B, 2), rel=1e-10)
-        G, scale = _classical_operator(m, s, 8)
+        gram, P, scale = _classical_operator(m, s, 8)
         # the operator is the Gram operator of B / scale
-        gram = np.column_stack([G.matvec(e) for e in np.eye(G.shape[0], dtype=complex)])
-        gram *= scale * scale
+        full = np.column_stack([gram(e) for e in np.eye(P, dtype=complex)])
+        full *= scale * scale
         want = B.conj().T @ B
         # the reference's rounding grows with the spread of D: 1.8e-12 at s=3
-        assert np.linalg.norm(gram - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(full - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_restart_cap_warns_with_lower_bound(self):
         # s > 0: at s = 0 the norm is closed-form and has no restarts to cap
@@ -421,25 +432,46 @@ class TestClassicalNorm:
     @pytest.mark.parametrize("label", ["constant", "modulation:0.7", "signum", "chirp43",
                                        "bump", "bump:1.5", "modulation:0.5"])
     def test_closed_form_at_s_zero_matches_lanczos(self, label, N):
-        # the Lanczos path on the s = 0 Gram operator, run here since the
-        # library no longer does; worst measured 1.3e-15 relative
+        # scipy's ARPACK on the s = 0 Gram operator, which the library no
+        # longer iterates on; worst measured 1.3e-15 relative
         m = parse_multiplier(label)
-        G, scale = _classical_operator(m, 0.0, N)
-        rng = np.random.default_rng(1234)
-        v0 = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
-        lam = eigsh(G, k=1, which="LA", tol=1e-12, maxiter=20000, v0=v0,
-                    return_eigenvectors=False)[0]
+        gram, P, scale = _classical_operator(m, 0.0, N)
+        lam = _eigsh_top(gram, P)
         assert _classical_norm(m, 0.0, N) == pytest.approx(math.sqrt(lam) * scale,
                                                             rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("N", [8, 16, 32, 64])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("label", ["constant", "signum", "chirp43", "modulation:0.7",
+                                       "bump"])
+    def test_lanczos_matches_eigsh(self, label, s, N):
+        # the probe-sweep grid at s > 0; worst measured 5.7e-13 relative,
+        # at constant, s = 2, N = 64, where eigsh itself is off by that much
+        m = parse_multiplier(label)
+        gram, P, scale = _classical_operator(m, s, N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            got = _classical_norm(m, s, N)
+        assert got == pytest.approx(math.sqrt(_eigsh_top(gram, P)) * scale,
+                                    rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.5, 2.0])
+    def test_constant_is_one(self, s):
+        # the computed Gram operator's top eigenvalue sits up to 3.4e-12
+        # above 1 (the FFT round trips scaled by the spread of D); Lanczos
+        # stops at step one on the start vector's residual, within 2.6e-15
+        for N in (4, 8, 16, 32, 64, 128, 240):
+            assert _classical_norm(constant(1.0), s, N) == pytest.approx(1.0, rel=1e-14,
+                                                                         abs=0.0)
+
     def test_s_zero_runs_no_lanczos(self, monkeypatch, thresholds):
         def no_lanczos(*args, **kwargs):
-            raise RuntimeError("eigsh called")
+            raise RuntimeError("Lanczos called")
 
-        monkeypatch.setattr(operators, "eigsh", no_lanczos)
+        monkeypatch.setattr(operators, "_lanczos_top", no_lanczos)
         r = classical_sobolev_probe(parse_multiplier("bump:1.5"), 0.0, (8, 16), thresholds)
         assert r.values == (1.0, 1.0)
-        with pytest.raises(RuntimeError, match="eigsh called"):
+        with pytest.raises(RuntimeError, match="Lanczos called"):
             classical_sobolev_probe(parse_multiplier("bump:1.5"), 0.5, (8, 16), thresholds)
 
     @pytest.mark.parametrize("s", [0.0, 1.0])
@@ -460,7 +492,7 @@ class TestClassicalNorm:
                 c * _classical_norm(constant(1.0), s, N), rel=1e-12, abs=0.0)
 
     def test_zero_multiplier(self):
-        # ARPACK rejects the null start vector a zero Gram operator produces
+        # Lanczos breaks down at step one on the zero Gram operator
         assert _classical_norm(parse_multiplier("constant:0"), 1.0, 8) == 0.0
 
     def test_probe_is_deterministic(self, thresholds):
