@@ -13,6 +13,7 @@ Exit status: 0 all checks passed, 1 some check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -78,6 +79,9 @@ class _Parser(argparse.ArgumentParser):
             r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
+# Built once per process: argparse keeps no state between parse_args calls
+# (each returns a fresh namespace, and ``--N`` appends to a fresh list).
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="focklab",

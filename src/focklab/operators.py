@@ -450,7 +450,8 @@ def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, fl
     periodized box [-L, L), L = sqrt(2N+1)+1 (the spectral support scale of
     the matching truncation), at P = 32*N equispaced points, divided by
     their power-of-two scale (exact, and clear of overflow and underflow in
-    squared magnitudes).
+    squared magnitudes).  The samples are a real array when every imaginary
+    part is zero.
 
     Warns when more than 5% of the sampled spectrum's mass sits in the top
     frequency decile (box-seam leakage alone stays well below that).
@@ -459,6 +460,8 @@ def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, fl
     P = 32 * N
     x = -L + 2.0 * L * np.arange(P) / P
     mv = m(x)
+    if not mv.imag.any():
+        mv = mv.real
     scale = _binary_scale(mv)
     mv = mv / scale
     spec = np.abs(np.fft.fft(mv))
@@ -471,23 +474,22 @@ def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, fl
     return mv, scale, L
 
 
-def _classical_operator(m: MultiplierSpec, s: float,
-                        N: int) -> tuple[Callable[[np.ndarray], np.ndarray], int, float]:
-    """(gram, P, scale): the Gram operator B^H B of multiplication by m on a
-    periodized classical Sobolev grid of P points, B = D F diag(m(x)) F^-1 D^-1
-    on Fourier coefficients with unitary FFTs F, as one matrix-free matvec
-    v -> D^-1 F diag(conj m) F^-1 D^2 F diag(m) F^-1 D^-1 v  (D^2 precomputed).
+def _sobolev_weights(k: np.ndarray, s: float, L: float) -> np.ndarray:
+    """Fourier weights D = (1+|xi|^2)^{s/2} at integer frequencies k on the
+    box [-L, L), xi = pi k / (2L) matching the e^{-2ixy} pairing."""
+    return (1.0 + (math.pi * np.abs(k) / (2.0 * L)) ** 2) ** (s / 2.0)
 
-    The samples come from ``_classical_samples``, whose power-of-two scale
-    is returned with the operator: it is the Gram operator of B / scale.
-    Fourier weights D = (1+|xi|^2)^{s/2} with xi = pi k / (2L) matching the
-    e^{-2ixy} pairing.
+
+def _classical_operator(mv: np.ndarray, s: float,
+                        L: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The Gram operator B^H B of multiplication by the samples ``mv`` (from
+    ``_classical_samples``, so it is the Gram operator of B / scale) on a
+    periodized classical Sobolev grid of P = mv.size points,
+    B = D F diag(m(x)) F^-1 D^-1 on Fourier coefficients with unitary FFTs F,
+    as one matrix-free matvec on C^P
+    v -> D^-1 F diag(conj m) F^-1 D^2 F diag(m) F^-1 D^-1 v  (D^2 precomputed).
     """
-    mv, scale, L = _classical_samples(m, N)
-    P = mv.size
-    k = np.fft.fftfreq(P, d=1.0 / P)
-    xi = math.pi * np.abs(k) / (2.0 * L)
-    D = (1.0 + xi ** 2) ** (s / 2.0)
+    D = _sobolev_weights(np.fft.fftfreq(mv.size, d=1.0 / mv.size), s, L)
     D2 = D * D
     mc = np.conj(mv)
 
@@ -495,7 +497,27 @@ def _classical_operator(m: MultiplierSpec, s: float,
         u = np.fft.fft(mv * np.fft.ifft(v / D, norm="ortho"), norm="ortho")
         return np.fft.fft(mc * np.fft.ifft(D2 * u, norm="ortho"), norm="ortho") / D
 
-    return gram, P, scale
+    return gram
+
+
+def _real_classical_operator(mv: np.ndarray, s: float,
+                             L: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The same Gram operator for real samples ``mv``, on real x-space
+    vectors: F^-1 B^H B F = Lam^-1 m Lam^2 m Lam^-1 with Lam^a = F^-1 D^a F.
+    D is even in k, so Lam^a maps real vectors to real vectors (applied as
+    irfft(D^a rfft(.))), and this operator is real symmetric: its top
+    eigenvalue, that of B^H B, is reached on R^P.
+    """
+    P = mv.size
+    D = _sobolev_weights(np.arange(P // 2 + 1), s, L)
+    D2 = D * D
+
+    def gram(v):
+        u = mv * np.fft.irfft(np.fft.rfft(v) / D, P)
+        u = mv * np.fft.irfft(D2 * np.fft.rfft(u), P)
+        return np.fft.irfft(np.fft.rfft(u) / D, P)
+
+    return gram
 
 
 # One Lanczos cycle builds at most _KRYLOV basis vectors and tests for
@@ -505,11 +527,13 @@ _KRYLOV = 64
 _LANCZOS_TESTS = frozenset((1, 2, 4, 6, 8, 12, 16, 24, 32, 40, 48, 56))
 
 
-def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], P: int,
+def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
                  max_iter: int) -> tuple[float, bool]:
     """(theta, converged): the top eigenvalue theta of the Hermitian positive
-    semidefinite operator ``gram`` on C^P, by Lanczos with full
-    reorthogonalization and explicit restarts.
+    semidefinite operator ``gram``, by Lanczos with full reorthogonalization
+    and explicit restarts from the start vector ``v``.  The basis has the
+    dtype of ``v``: a real start keeps the whole iteration in real
+    arithmetic, for an operator that is real symmetric on R^P.
 
     The basis V is stored row-wise.  Each step projects the new vector
     against all of V by one classical Gram-Schmidt pass, and by a second
@@ -518,15 +542,13 @@ def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], P: int,
     pair (theta, y) of the tridiagonal matrix has the residual
     beta_j |y_last| <= 1e-12 theta (ARPACK's test; an exact breakdown
     beta_j = 0, as for a zero operator, always passes), and otherwise the
-    next cycle restarts from the top Ritz vector.  The first cycle starts
-    from a complex vector with a fixed seed, so results are
-    byte-deterministic.  After ``max_iter`` cycles theta is returned
-    unconverged; a Ritz value is never above the top eigenvalue.
+    next cycle restarts from the top Ritz vector.  After ``max_iter`` cycles
+    theta is returned unconverged; a Ritz value is never above the top
+    eigenvalue.
     """
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    P = v.size
     K = min(_KRYLOV, P)
-    V = np.empty((K, P), dtype=complex)
+    V = np.empty((K, P), dtype=v.dtype)
     theta = 0.0
     for _ in range(max_iter):
         V[0] = v / np.linalg.norm(v)
@@ -565,18 +587,28 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 300) ->
     samples of ``_classical_samples``; no iteration runs.
 
     For s > 0 it is the square root of the top eigenvalue of the Gram
-    operator B^H B (``_classical_operator``), from restarted Lanczos
-    (``_lanczos_top``, relative residual 1e-12) on it.  ``max_iter`` caps
-    the restarts; a cycle is at most 64 Gram products, so the default caps
-    the work near 20,000 products.  When Lanczos does not converge, a
-    ConvergenceWarning is raised and the lower bound from the largest Ritz
-    value is returned.
+    operator B^H B, from restarted Lanczos (``_lanczos_top``, relative
+    residual 1e-12) on it.  When every sample m(x_j) is real, the Gram
+    operator is real symmetric in x-space (``_real_classical_operator``) and
+    Lanczos runs in real arithmetic from a real start vector; otherwise it
+    runs on C^P in Fourier space (``_classical_operator``).  Both starts are
+    drawn with a fixed seed, so results are byte-deterministic.
+    ``max_iter`` caps the restarts; a cycle is at most 64 Gram products, so
+    the default caps the work near 20,000 products.  When Lanczos does not
+    converge, a ConvergenceWarning is raised and the lower bound from the
+    largest Ritz value is returned.
     """
+    mv, scale, L = _classical_samples(m, N)
     if s == 0.0:
-        mv, scale, _ = _classical_samples(m, N)
         return float(np.abs(mv).max()) * scale
-    gram, P, scale = _classical_operator(m, s, N)
-    lam, converged = _lanczos_top(gram, P, max_iter)
+    rng = np.random.default_rng(1234)
+    if np.isrealobj(mv):
+        gram = _real_classical_operator(mv, s, L)
+        v = rng.standard_normal(mv.size)
+    else:
+        gram = _classical_operator(mv, s, L)
+        v = rng.standard_normal(mv.size) + 1j * rng.standard_normal(mv.size)
+    lam, converged = _lanczos_top(gram, v, max_iter)
     norm = math.sqrt(max(lam, 0.0)) * scale
     if not converged:
         warnings.warn(f"classical-side Lanczos did not converge within {max_iter} restarts "

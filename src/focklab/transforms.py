@@ -83,9 +83,11 @@ class OperatorMatrix:
         return v.with_coeffs(self.entries @ v.coeffs)
 
     def unitarity_defect(self) -> float:
-        g = self.entries.conj().T @ self.entries
-        d = g - np.eye(g.shape[0])
-        return float(np.linalg.norm(interior_block(d, self.dim, self.truncation)))
+        """Frobenius norm of the interior block of M^H M - I, formed from
+        the interior columns alone."""
+        cols = self.entries[:, :interior_count(self.dim, self.truncation)]
+        d = cols.conj().T @ cols
+        return float(np.linalg.norm(d - np.eye(d.shape[0])))
 
 
 def interior_count(n: int, N: int) -> int:
@@ -219,7 +221,13 @@ def _weyl_axis(a: complex, N: int) -> np.ndarray:
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(N + 1)])
     log_pow = alpha * math.log(r) if r else np.where(alpha == 0, 0.0, -np.inf)  # log r^alpha
     logmag = 0.5 * (log_fact[hi] - log_fact[lo]) - log_fact[d] + log_pow[d] - 0.5 * r * r
-    phase = np.exp(1j * d * np.where(m >= k, -np.angle(a), np.angle(-a)))
+    # integer powers of the unit phases conj(a)/|a| (m >= k) and -a/|a|
+    # (m < k): for real a they are exactly +-1, where exp(i d angle) leaves
+    # sin(d pi) rounding as imaginary parts
+    u = np.conj(a) / r if r else 1.0
+    below = np.cumprod(np.r_[1.0, np.full(N, u, dtype=complex)])
+    above = np.cumprod(np.r_[1.0, np.full(N, -np.conj(u), dtype=complex)])
+    phase = np.where(m >= k, below[d], above[d])
     P = np.empty((N + 1, N + 1))
     P[0] = 1.0
     step = np.zeros(N + 1)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focklab import cli
 from focklab.cli import _build_parser, main
 from focklab.errors import AccuracyWarning
 from focklab.reporting import strip_timing
@@ -386,6 +387,27 @@ def test_probe_N_list_echoed_as_run(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["config"]["N"] == [8, 16, 32, 64]
     assert doc["records"][0]["measured"]["N_list"] == [8, 16, 32, 64]
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, monkeypatch):
+    # the parser is built once per process; every call parses afresh
+    out = tmp_path / "p.json"
+    for _ in range(2):
+        run_cli("probe", "--multiplier", "constant:1", "--N", "8", "--N", "16",
+                "--out", str(out))
+        assert json.loads(out.read_text())["config"]["N"] == [8, 16]
+    run_cli("probe", "--multiplier", "bump", "--s", "1", "--N", "8", "--N", "16",
+            "--classical", "--out", str(out))
+    assert len(json.loads(out.read_text())["records"]) == 2
+
+    def no_classical(*args, **kwargs):
+        raise AssertionError("classical side ran")
+
+    monkeypatch.setattr(cli, "classical_sobolev_probe", no_classical)
+    run_cli("probe", "--multiplier", "bump", "--s", "1", "--N", "8", "--N", "16",
+            "--out", str(out))
+    assert [r["measured"]["side"] for r in json.loads(out.read_text())["records"]] \
+        == ["hermite"]
 
 
 def test_export_roundtrip_bit_identical(tmp_path):

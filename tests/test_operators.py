@@ -30,6 +30,8 @@ from focklab.operators import (
     GrowthThresholds,
     _classical_norm,
     _classical_operator,
+    _classical_samples,
+    _real_classical_operator,
     apply_integral_operator,
     boundedness_probe,
     classical_sobolev_probe,
@@ -403,6 +405,13 @@ def _eigsh_top(gram, P):
                  return_eigenvectors=False)[0]
 
 
+def _complex_gram(m, s, N):
+    """(gram, P, scale): the library's Fourier-space Gram operator on C^P for
+    the samples of m, real or not; it is the Gram operator of B / scale."""
+    mv, scale, L = _classical_samples(m, N)
+    return _classical_operator(mv, s, L), mv.size, scale
+
+
 class TestClassicalNorm:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("label", ["constant", "constant:2.5", "signum", "chirp43",
@@ -412,7 +421,7 @@ class TestClassicalNorm:
         m = parse_multiplier(label)
         B = classical_dense(m, s, 8)
         assert _classical_norm(m, s, 8) == pytest.approx(np.linalg.norm(B, 2), rel=1e-10)
-        gram, P, scale = _classical_operator(m, s, 8)
+        gram, P, scale = _complex_gram(m, s, 8)
         # the operator is the Gram operator of B / scale
         full = np.column_stack([gram(e) for e in np.eye(P, dtype=complex)])
         full *= scale * scale
@@ -435,7 +444,7 @@ class TestClassicalNorm:
         # scipy's ARPACK on the s = 0 Gram operator, which the library no
         # longer iterates on; worst measured 1.3e-15 relative
         m = parse_multiplier(label)
-        gram, P, scale = _classical_operator(m, 0.0, N)
+        gram, P, scale = _complex_gram(m, 0.0, N)
         lam = _eigsh_top(gram, P)
         assert _classical_norm(m, 0.0, N) == pytest.approx(math.sqrt(lam) * scale,
                                                             rel=1e-13, abs=0.0)
@@ -448,12 +457,51 @@ class TestClassicalNorm:
         # the probe-sweep grid at s > 0; worst measured 5.7e-13 relative,
         # at constant, s = 2, N = 64, where eigsh itself is off by that much
         m = parse_multiplier(label)
-        gram, P, scale = _classical_operator(m, s, N)
+        gram, P, scale = _complex_gram(m, s, N)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             got = _classical_norm(m, s, N)
         assert got == pytest.approx(math.sqrt(_eigsh_top(gram, P)) * scale,
                                     rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("N", [128, 240])
+    @pytest.mark.parametrize("label", ["signum", "bump"])
+    def test_real_route_matches_eigsh_at_large_N(self, label, N):
+        # real multipliers take the real x-space route; the reference is
+        # scipy's ARPACK on the complex Fourier-space Gram operator; worst
+        # measured 1.8e-15 relative
+        m = parse_multiplier(label)
+        gram, P, scale = _complex_gram(m, 0.5, N)
+        assert _classical_norm(m, 0.5, N) == pytest.approx(
+            math.sqrt(_eigsh_top(gram, P)) * scale, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    @pytest.mark.parametrize("label", ["constant:2.5", "signum", "bump:1.5"])
+    def test_real_gram_is_the_dense_gram_in_x_space(self, label, s):
+        # F^H B^H B F from the explicit DFT matrix of ``classical_dense``;
+        # worst measured 6.0e-14 relative
+        m = parse_multiplier(label)
+        mv, scale, L = _classical_samples(m, 8)
+        assert mv.dtype == np.float64
+        gram = _real_classical_operator(mv, s, L)
+        P = mv.size
+        full = np.column_stack([gram(e) for e in np.eye(P)]) * (scale * scale)
+        j = np.arange(P)
+        F = np.exp(-2j * np.pi * (np.outer(j, j) % P) / P) / math.sqrt(P)
+        B = classical_dense(m, s, 8)
+        want = F.conj().T @ (B.conj().T @ B) @ F
+        assert np.linalg.norm(full - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_real_multiplier_builds_no_complex_operator(self, monkeypatch, thresholds):
+        def no_complex(*args, **kwargs):
+            raise RuntimeError("complex operator built")
+
+        monkeypatch.setattr(operators, "_classical_operator", no_complex)
+        for label in ("constant", "constant:2.5", "signum", "bump", "bump:1.5"):
+            classical_sobolev_probe(parse_multiplier(label), 0.5, (8, 16), thresholds)
+        for m in (chirp43(), modulation(0.7), constant(1j)):
+            with pytest.raises(RuntimeError, match="complex operator built"):
+                classical_sobolev_probe(m, 0.5, (8, 16), thresholds)
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.5, 2.0])
     def test_constant_is_one(self, s):

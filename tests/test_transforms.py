@@ -245,6 +245,21 @@ class TestWeyl:
         W = weyl_matrix(0.7 + 0.3j, 32)
         assert W.unitarity_defect() <= 1e-10
 
+    @pytest.mark.parametrize("a", [0.5, -1.27, 3.0, -5.0])
+    def test_real_displacement_is_exactly_real(self, a):
+        for n, N in ((1, 32), (1, 128), (3, 8)):
+            assert not weyl_matrix(np.full(n, a), N).entries.imag.any()
+
+    @pytest.mark.parametrize("a", [0.5 + 0.3j, -1.2 + 2.1j, 2.5 - 1.5j, 0.8 + 0.5j])
+    def test_complex_displacement_keeps_its_phases(self, a):
+        # the powers of conj(a)/|a| and -a/|a| agree with the phases
+        # exp(i d angle) entrywise; measured <= 9.6e-16 at N = 32 (both are
+        # within 1.7e-14 of the exact powers at N = 64, the powers nearer)
+        W = weyl_matrix(a, 32).entries
+        m, k = np.indices(W.shape)
+        angle = np.abs(m - k) * np.where(m >= k, -np.angle(a), np.angle(-a))
+        assert np.abs((W * np.exp(-1j * angle)).imag).max() <= 1e-15
+
 
 class TestConjugation:
     def test_zero_translation(self):
