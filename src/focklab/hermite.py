@@ -296,8 +296,10 @@ def basis_table(n: int, N: int, points: np.ndarray, convention: Convention,
         points = points.reshape(-1, 1)
     if points.shape[1] != n:
         raise ValueError(f"points have dimension {points.shape[1]}, expected {n}")
-    alpha = index_array(n, N)
     tabs = [hermite_axis_table(N, points[:, j], convention, weightless) for j in range(n)]
+    if n == 1:  # the graded order is the axis order
+        return tabs[0]
+    alpha = index_array(n, N)
     out = tabs[0][alpha[:, 0]]
     for j in range(1, n):
         out = out * tabs[j][alpha[:, j]]

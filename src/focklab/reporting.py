@@ -23,6 +23,7 @@ class ReportRecord:
     tolerance: float | None = None
     inputs: dict = field(default_factory=dict)
     wall_ms: float = 0.0
+    warnings: list = field(default_factory=list)  # {category, message, count} each
 
     def as_dict(self) -> dict:
         return {
@@ -32,6 +33,7 @@ class ReportRecord:
             "tolerance": self.tolerance,
             "inputs": self.inputs,
             "wall_ms": round(self.wall_ms, 3),
+            "warnings": self.warnings,
         }
 
 

@@ -223,8 +223,12 @@ def _weyl_axis(a: complex, N: int) -> np.ndarray:
     logmag = 0.5 * (log_fact[hi] - log_fact[lo]) - log_fact[d] + log_pow[d] - 0.5 * r * r
     # integer powers of the unit phases conj(a)/|a| (m >= k) and -a/|a|
     # (m < k): for real a they are exactly +-1, where exp(i d angle) leaves
-    # sin(d pi) rounding as imaginary parts
-    u = np.conj(a) / r if r else 1.0
+    # sin(d pi) rounding as imaginary parts.  Complex division by r forms
+    # 1/r, which overflows for subnormal |a|; scaling a and r by the same
+    # power of two first is exact and leaves the quotient's rounding as is
+    e = math.frexp(r)[1]
+    u = (np.conj(complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)))
+         / math.ldexp(r, -e) if r else 1.0)
     below = np.cumprod(np.r_[1.0, np.full(N, u, dtype=complex)])
     above = np.cumprod(np.r_[1.0, np.full(N, -np.conj(u), dtype=complex)])
     phase = np.where(m >= k, below[d], above[d])

@@ -25,6 +25,7 @@ from focklab.multipliers import MultiplierSpec, bump, chirp43, constant, modulat
 from focklab.operators import (
     boundedness_probe,
     classical_sobolev_probe,
+    classify_growth,
     conjugated_multiplier_matrix,
     default_mesh_order,
     integral_operator_matrix,
@@ -51,6 +52,7 @@ from focklab.transforms import (
     translation_ladder_check,
     weyl_matrix,
 )
+from focklab.verify import VerifyContext, run_suite
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -184,27 +186,31 @@ def test_criterion_07_boundedness_contrast():
 
 
 def test_criterion_08_localization():
-    cal = load_calibration()
     bmp = PartitionBump()
     rng = np.random.default_rng(808)
     xs = rng.uniform(-6, 6, 10_000)
     part = float(np.abs(bmp.partition_sum(xs) - bmp.c0).max())
     ok = part <= 1e-10
-    worst = {0.0: (np.inf, -np.inf), 1.0: (np.inf, -np.inf)}
-    for s in (0.0, 1.0):
-        lo, hi = cal[f"localization.s{int(s)}.lo"], cal[f"localization.s{int(s)}.hi"]
-        for i in range(10):
-            for N in (16, 32):
-                v = random_vector(1, N, Convention.PAPER_H, 880 + 13 * i, band=8)
-                M = int(math.ceil(math.sqrt(2 * N + 1))) + 2
-                r = localization_norm(v, s, bmp, M) / sobolev_norm(v, s)
-                a, b = worst[s]
-                worst[s] = (min(a, r), max(b, r))
-                ok &= lo <= r <= hi
+    # the exact range of ||f||_loc / ||f||_s over each truncated space
+    rec, = run_suite(VerifyContext(), only="spaces.localization-interval")
+    ext = rec.measured["extremes"]
+    ok &= rec.status == "pass" and rec.measured["route_defect"] <= 1e-12
+    th = load_calibration().growth_thresholds
+    ok &= all(classify_growth([lh[j] for lh in ext["s=1"].values()], th) == "stable"
+              for j in (0, 1))
+    smin, smax = bmp.squared_sum_range()
+    ok &= all(math.sqrt(smin) - 1e-6 <= lo and hi <= math.sqrt(smax) + 1e-6
+              for lo, hi in ext["s=0"].values())
+    # e_0 sits at the top of the s = 1 range (2.449 at N = 16, M = 9)
+    e0 = SpectralVector.unit(1, 16, Convention.PAPER_H, 0)
+    r0 = localization_norm(e0, 1.0, bmp, 9) / sobolev_norm(e0, 1.0)
+    lo, hi = ext["s=1"]["16"]
+    ok &= lo <= r0 <= hi * (1 + 1e-12) and r0 >= 0.9999 * hi
     report("criterion 8 (localization)", ok,
-           f"partition defect {part:.1e} (tol 1e-10); ratios s=0 "
-           f"[{worst[0.0][0]:.3f},{worst[0.0][1]:.3f}], s=1 "
-           f"[{worst[1.0][0]:.3f},{worst[1.0][1]:.3f}] inside calibrated intervals")
+           f"partition defect {part:.1e} (tol 1e-10); exact ratio ranges s=0 "
+           + ", ".join(f"N={N} [{a:.3f},{b:.3f}]" for N, (a, b) in ext["s=0"].items())
+           + "; s=1 " + ", ".join(f"N={N} [{a:.3f},{b:.3f}]" for N, (a, b) in ext["s=1"].items())
+           + f"; e_0 at s=1, N=16: {r0:.4f}")
     assert ok
 
 

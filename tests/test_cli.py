@@ -489,3 +489,16 @@ def test_calibration_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("FOCKLAB_CALIBRATION", str(tmp_path / "missing.txt"))
     with pytest.raises(CalibrationError):
         load_calibration()
+
+
+def test_stale_calibration_key_fails_loudly(tmp_path, monkeypatch):
+    # a file from before the exact norm-ratio bounds still carries weyl.C
+    from focklab.calibration import default_calibration_path, load_calibration
+    from focklab.errors import CalibrationError
+
+    dst = tmp_path / "cal.txt"
+    dst.write_text(default_calibration_path().read_text() + "weyl.C = 1.3078368168670744\n")
+    monkeypatch.setenv("FOCKLAB_CALIBRATION", str(dst))
+    with pytest.raises(CalibrationError, match="weyl.C"):
+        load_calibration()
+    assert run_cli("verify", "--only", "transforms.weyl", "--out", str(tmp_path / "r.json")) == 1
