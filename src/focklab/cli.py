@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .calibration import (
     default_calibration_path,
     load_calibration,
@@ -163,6 +164,17 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _provenance() -> dict:
+    """The package and numpy versions and the calibration file the checks
+    read, with its SHA-256 (None when the file is missing)."""
+    import hashlib  # loads OpenSSL, 3.6 MB of RSS that only verify needs
+
+    cal = default_calibration_path()
+    digest = hashlib.sha256(cal.read_bytes()).hexdigest() if cal.is_file() else None
+    return {"focklab": __version__, "numpy": np.__version__,
+            "calibration": {"path": str(cal), "sha256": digest}}
+
+
 def cmd_verify(args) -> int:
     if args.list:
         for cid, _, defaults in CHECKS:
@@ -174,7 +186,8 @@ def cmd_verify(args) -> int:
         _fail_config(f"--only {args.only!r} matches no checks")
     for r in records:
         print(f"[{r.status:4s}] {r.check_id}  ({r.wall_ms:.0f} ms)", file=sys.stderr)
-    config = {"format": args.fmt, "seed": args.seed, "tol_overrides": tols}
+    config = {"format": args.fmt, "seed": args.seed, "tol_overrides": tols,
+              "provenance": _provenance()}
     text = emit_json(records, config, _timestamp()) if args.fmt == "json" \
         else emit_csv(records)
     _write(args.out, text)

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AccuracyWarning,
@@ -446,12 +447,16 @@ def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
 
 
 def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, float]:
-    """(m(x_j) / scale, scale, L): the classical side's samples of m on the
+    """(mhat / scale, scale, L): the box Fourier coefficients of m on the
     periodized box [-L, L), L = sqrt(2N+1)+1 (the spectral support scale of
-    the matching truncation), at P = 32*N equispaced points, divided by
-    their power-of-two scale (exact, and clear of overflow and underflow in
-    squared magnitudes).  The samples are a real array when every imaginary
-    part is zero.
+    the matching truncation), divided by their power-of-two scale (exact,
+    and clear of overflow and underflow in squared magnitudes).
+
+    mhat(n) = (2L)^-1 Int m(x) e^{-i pi n x / L} dx is sampled by one FFT of
+    m at P = 32*N equispaced points x_j = -L + 2L j / P, so
+    mhat(n) = (-1)^n fft(m(x_j))[n mod P] / P, stored at index n mod P.  P
+    only sets the accuracy of mhat: the classical norm reads mhat at
+    |n| <= 2K, far below P/2.
 
     Warns when more than 5% of the sampled spectrum's mass sits in the top
     frequency decile (box-seam leakage alone stays well below that).
@@ -460,18 +465,17 @@ def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, fl
     P = 32 * N
     x = -L + 2.0 * L * np.arange(P) / P
     mv = m(x)
-    if not mv.imag.any():
-        mv = mv.real
     scale = _binary_scale(mv)
-    mv = mv / scale
-    spec = np.abs(np.fft.fft(mv))
+    spec = np.fft.fft(mv / scale)
+    mag = np.abs(spec)
     k = np.abs(np.fft.fftfreq(P, d=1.0 / P))
-    top = float(spec[k >= 0.9 * (P / 2)].sum() / max(spec.sum(), 1e-300))
+    top = float(mag[k >= 0.9 * (P / 2)].sum() / max(mag.sum(), 1e-300))
     if top > 0.05:
         warnings.warn(
             f"multiplier {m.label} carries {top:.1%} of its sampled spectrum near "
             "the grid Nyquist limit; classical-side norms may alias", AccuracyWarning)
-    return mv, scale, L
+    spec[1::2] *= -1.0
+    return spec / P, scale, L
 
 
 def _sobolev_weights(k: np.ndarray, s: float, L: float) -> np.ndarray:
@@ -480,49 +484,9 @@ def _sobolev_weights(k: np.ndarray, s: float, L: float) -> np.ndarray:
     return (1.0 + (math.pi * np.abs(k) / (2.0 * L)) ** 2) ** (s / 2.0)
 
 
-def _classical_operator(mv: np.ndarray, s: float,
-                        L: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The Gram operator B^H B of multiplication by the samples ``mv`` (from
-    ``_classical_samples``, so it is the Gram operator of B / scale) on a
-    periodized classical Sobolev grid of P = mv.size points,
-    B = D F diag(m(x)) F^-1 D^-1 on Fourier coefficients with unitary FFTs F,
-    as one matrix-free matvec on C^P
-    v -> D^-1 F diag(conj m) F^-1 D^2 F diag(m) F^-1 D^-1 v  (D^2 precomputed).
-    """
-    D = _sobolev_weights(np.fft.fftfreq(mv.size, d=1.0 / mv.size), s, L)
-    D2 = D * D
-    mc = np.conj(mv)
-
-    def gram(v):
-        u = np.fft.fft(mv * np.fft.ifft(v / D, norm="ortho"), norm="ortho")
-        return np.fft.fft(mc * np.fft.ifft(D2 * u, norm="ortho"), norm="ortho") / D
-
-    return gram
-
-
-def _real_classical_operator(mv: np.ndarray, s: float,
-                             L: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The same Gram operator for real samples ``mv``, on real x-space
-    vectors: F^-1 B^H B F = Lam^-1 m Lam^2 m Lam^-1 with Lam^a = F^-1 D^a F.
-    D is even in k, so Lam^a maps real vectors to real vectors (applied as
-    irfft(D^a rfft(.))), and this operator is real symmetric: its top
-    eigenvalue, that of B^H B, is reached on R^P.
-    """
-    P = mv.size
-    D = _sobolev_weights(np.arange(P // 2 + 1), s, L)
-    D2 = D * D
-
-    def gram(v):
-        u = mv * np.fft.irfft(np.fft.rfft(v) / D, P)
-        u = mv * np.fft.irfft(D2 * np.fft.rfft(u), P)
-        return np.fft.irfft(np.fft.rfft(u) / D, P)
-
-    return gram
-
-
 # One Lanczos cycle builds at most _KRYLOV basis vectors and tests for
-# convergence only after the steps in _LANCZOS_TESTS: a 64 x 64 eigh costs
-# more than one Gram product at N = 64, so the tests thin out as j grows.
+# convergence only after the steps in _LANCZOS_TESTS: a 24 x 24 eigh costs
+# about one Gram product at N = 64, so the tests thin out as j grows.
 _KRYLOV = 64
 _LANCZOS_TESTS = frozenset((1, 2, 4, 6, 8, 12, 16, 24, 32, 40, 48, 56))
 
@@ -531,14 +495,12 @@ def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
                  max_iter: int) -> tuple[float, bool]:
     """(theta, converged): the top eigenvalue theta of the Hermitian positive
     semidefinite operator ``gram``, by Lanczos with full reorthogonalization
-    and explicit restarts from the start vector ``v``.  The basis has the
-    dtype of ``v``: a real start keeps the whole iteration in real
-    arithmetic, for an operator that is real symmetric on R^P.
+    and explicit restarts from the start vector ``v``.
 
-    The basis V is stored row-wise.  Each step projects the new vector
-    against all of V by one classical Gram-Schmidt pass, and by a second
-    only when the remainder falls below 0.7 times the projection (the DGKS
-    test).  A cycle builds at most 64 vectors; it stops when the top Ritz
+    The basis V is stored row-wise, and the tridiagonal matrix is filled in
+    place.  Each step projects the new vector against all of V by one
+    classical Gram-Schmidt pass, and by a second only when the remainder
+    falls below 0.7 times the projection (the DGKS test).  A cycle builds at most 64 vectors; it stops when the top Ritz
     pair (theta, y) of the tridiagonal matrix has the residual
     beta_j |y_last| <= 1e-12 theta (ARPACK's test; an exact breakdown
     beta_j = 0, as for a zero operator, always passes), and otherwise the
@@ -549,66 +511,73 @@ def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
     P = v.size
     K = min(_KRYLOV, P)
     V = np.empty((K, P), dtype=v.dtype)
+    # V's transposed copy turns every basis combination h @ V into the
+    # row-wise product VT @ h: OpenBLAS splits h @ V across threads for some
+    # shapes (P = 179 among them), so its rounding would follow the thread
+    # count
+    VT = np.empty((P, K), dtype=v.dtype)
+    T = np.zeros((K, K))
     theta = 0.0
     for _ in range(max_iter):
-        V[0] = v / np.linalg.norm(v)
-        alpha, beta = [], []
+        V[0] = VT[:, 0] = v / np.linalg.norm(v)
+        T[:] = 0.0
         for j in range(K):
             w = gram(V[j])
             # V[:j + 1].conj() @ w would copy the basis on every step
             h = np.conj(V[:j + 1] @ np.conj(w))
-            w -= h @ V[:j + 1]
+            w -= VT[:, :j + 1] @ h
             beta_j = np.linalg.norm(w)
             if beta_j < 0.7 * np.linalg.norm(h):
                 h2 = np.conj(V[:j + 1] @ np.conj(w))
-                w -= h2 @ V[:j + 1]
+                w -= VT[:, :j + 1] @ h2
                 h += h2
                 beta_j = np.linalg.norm(w)
-            alpha.append(h[j].real)
-            beta.append(beta_j)
+            T[j, j] = h[j].real
             if j + 1 in _LANCZOS_TESTS or j + 1 == K or beta_j == 0.0:
-                T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-                ritz, Y = np.linalg.eigh(T)
+                ritz, Y = np.linalg.eigh(T[:j + 1, :j + 1])
                 theta, y = float(ritz[-1]), Y[:, -1]
                 if beta_j * abs(y[-1]) <= 1e-12 * theta or beta_j == 0.0:
                     return theta, True
             if j + 1 < K:
-                V[j + 1] = w / beta_j
-        v = y @ V
+                T[j, j + 1] = T[j + 1, j] = beta_j
+                V[j + 1] = VT[:, j + 1] = w / beta_j
+        v = VT @ y
     return theta, False
 
 
 def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 300) -> float:
-    """Largest singular value of the periodized classical Sobolev multiplication
-    operator B.
+    """Largest singular value of the classical Sobolev multiplication
+    operator on the box modes with |xi| <= sqrt(2N+1), the Hermite
+    truncation's own phase-space radius.
 
-    At s = 0 the weights are D = I and F is unitary, so B is unitarily
-    similar to diag(m(x_j)) and its norm is exactly max_j |m(x_j)| over the
-    samples of ``_classical_samples``; no iteration runs.
+    Those are the modes |k| <= K = floor(2L sqrt(2N+1) / pi) of the box
+    [-L, L) of ``_classical_samples``, and the operator is the finite
+    Toeplitz section B = D T D^-1, T[j, k] = mhat(j - k), with the Sobolev
+    weights D at |j|, |k| <= K.  At s = 0 its norm rises to sup|m| as N
+    grows (Boettcher and Silbermann, Introduction to Large Truncated
+    Toeplitz Matrices, 1999).  P = 32N only sets the accuracy of mhat.
 
-    For s > 0 it is the square root of the top eigenvalue of the Gram
-    operator B^H B, from restarted Lanczos (``_lanczos_top``, relative
-    residual 1e-12) on it.  When every sample m(x_j) is real, the Gram
-    operator is real symmetric in x-space (``_real_classical_operator``) and
-    Lanczos runs in real arithmetic from a real start vector; otherwise it
-    runs on C^P in Fourier space (``_classical_operator``).  Both starts are
-    drawn with a fixed seed, so results are byte-deterministic.
-    ``max_iter`` caps the restarts; a cycle is at most 64 Gram products, so
-    the default caps the work near 20,000 products.  When Lanczos does not
+    The norm is the square root of the top eigenvalue of B^H B, from
+    restarted Lanczos (``_lanczos_top``, relative residual 1e-12) with two
+    dense matvecs per Gram product, from a start vector drawn with a fixed
+    seed, so results are byte-deterministic.  ``max_iter`` caps the
+    restarts; a cycle is at most 64 Gram products.  When Lanczos does not
     converge, a ConvergenceWarning is raised and the lower bound from the
     largest Ritz value is returned.
     """
-    mv, scale, L = _classical_samples(m, N)
-    if s == 0.0:
-        return float(np.abs(mv).max()) * scale
+    mhat, scale, L = _classical_samples(m, N)
+    K = int(2.0 * L * math.sqrt(2.0 * N + 1.0) / math.pi)
+    D = _sobolev_weights(np.arange(-K, K + 1), s, L)
+    # row j of the window view over mhat(-2K..2K) starts at mhat(j - 2K), so
+    # reversing its columns gives the Toeplitz section T[j, k] = mhat(j - k)
+    T = sliding_window_view(mhat[np.arange(-2 * K, 2 * K + 1) % mhat.size], D.size)[:, ::-1]
+    B = T * np.outer(D, 1.0 / D)
+    # in C order, like B: a product with the Fortran-order view B.conj().T
+    # rounds differently with the BLAS thread count
+    BH = np.ascontiguousarray(B.conj().T)
     rng = np.random.default_rng(1234)
-    if np.isrealobj(mv):
-        gram = _real_classical_operator(mv, s, L)
-        v = rng.standard_normal(mv.size)
-    else:
-        gram = _classical_operator(mv, s, L)
-        v = rng.standard_normal(mv.size) + 1j * rng.standard_normal(mv.size)
-    lam, converged = _lanczos_top(gram, v, max_iter)
+    v = rng.standard_normal(D.size) + 1j * rng.standard_normal(D.size)
+    lam, converged = _lanczos_top(lambda u: BH @ (B @ u), v, max_iter)
     norm = math.sqrt(max(lam, 0.0)) * scale
     if not converged:
         warnings.warn(f"classical-side Lanczos did not converge within {max_iter} restarts "
@@ -620,16 +589,17 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
                             thresholds: GrowthThresholds) -> GrowthReport:
     """Contrast probe: the same multiplication operator measured against the
     flat Fourier weights (1+|xi|^2)^{s/2} on a periodized box (1D only).  Each
-    norm is the top singular value of the matrix-free operator
-    (``_classical_norm``): exactly max_j |m(x_j)| over the grid samples at
-    s = 0, and from restarted Lanczos in numpy (``_lanczos_top``) on its Gram
-    operator at s > 0.
+    norm (``_classical_norm``) is that of the finite Toeplitz section of m on
+    the box modes |xi| <= sqrt(2N+1), the Hermite side's phase-space radius,
+    at every s; the grid of P = 32N samples only sets the accuracy of the
+    Fourier coefficients of m.
 
     The statement is about the periodized operator: a multiplier that is not
     box-periodic acquires a seam jump at +-L and can grow here even when its
-    real-line counterpart is bounded (modulations, say).  The registry
-    entries the contrast is designed for (constant, bump, chirp43) are
-    seam-continuous, so their growth reflects real-line behaviour.
+    real-line counterpart is bounded, and the box moves with N, so
+    modulations read erratically in N.  The registry entries the contrast is
+    designed for (constant, bump, chirp43) are seam-continuous, so their
+    growth reflects real-line behaviour.
     """
     N_list = _truncation_ladder(N_list)
     vals = tuple(_classical_norm(m, s, N) for N in N_list)

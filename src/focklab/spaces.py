@@ -270,10 +270,14 @@ class PartitionBump:
 
     def squared_sum_range(self) -> tuple[float, float]:
         """min/max over one period of Sigma_m eta_m(x)^2 (1D axis); the s = 0
-        localization ratio lies between the square roots of these."""
-        xs = np.linspace(0.0, 1.0, 20001)
-        tot = sum(self.eval_axis(xs + m) ** 2 for m in range(-4, 5))
-        return float(tot.min()), float(tot.max())
+        localization ratio lies between the square roots of these.
+
+        At every x two translates sit on their plateau (value 1) and at most
+        two more on their slopes, with values Phi and 1 - Phi for one value
+        Phi of the smooth step, so the sum is 2 + Phi^2 + (1 - Phi)^2.  That
+        is 3 where Phi is 0 or 1 and smallest, 5/2, at Phi = 1/2.
+        """
+        return 2.5, 3.0
 
 
 @lru_cache(maxsize=8)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shlex
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import focklab
 from focklab import cli
+from focklab.calibration import default_calibration_path
 from focklab.cli import _build_parser, main
 from focklab.errors import AccuracyWarning
 from focklab.reporting import strip_timing
@@ -215,6 +218,21 @@ def test_determinism_modulo_timing(tmp_path):
             "--out", str(b))
     assert strip_timing(a.read_text()) == strip_timing(b.read_text())
     assert a.read_text() != "" and b.read_text() != ""
+
+
+def test_verify_config_records_provenance(tmp_path, monkeypatch):
+    # the calibration is named by path and hash; reruns stay byte-identical
+    cal = tmp_path / "cal.txt"
+    cal.write_bytes(default_calibration_path().read_bytes())
+    monkeypatch.setenv("FOCKLAB_CALIBRATION", str(cal))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        run_cli("verify", "--only", "operators.probes", "--out", str(out))
+    prov = json.loads(a.read_text())["config"]["provenance"]
+    assert prov == {"focklab": focklab.__version__, "numpy": np.__version__,
+                    "calibration": {"path": str(cal),
+                                    "sha256": hashlib.sha256(cal.read_bytes()).hexdigest()}}
+    assert strip_timing(a.read_text()) == strip_timing(b.read_text())
 
 
 def test_csv_json_values_agree(tmp_path):

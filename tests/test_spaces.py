@@ -259,6 +259,13 @@ class TestPartitionBump:
         assert got[2] == 0.5
         assert np.array_equal(_smooth_step(np.array([-3.0, -0.5, 0.5, 3.0])), [0, 0, 1, 1])
 
+    def test_squared_sum_range_matches_grid(self):
+        # the closed form against the sum of squares on a 20,001-point period
+        b = PartitionBump()
+        xs = np.linspace(0.0, 1.0, 20001)
+        tot = sum(b.eval_axis(xs + m) ** 2 for m in range(-4, 5))
+        assert b.squared_sum_range() == (float(tot.min()), float(tot.max())) == (2.5, 3.0)
+
     def test_2d_tensor(self):
         b = PartitionBump(dim=2)
         assert b.c0 == 9.0
