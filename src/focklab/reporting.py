@@ -22,6 +22,7 @@ class ReportRecord:
     measured: Any
     tolerance: float | None = None
     inputs: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)  # every key the check declares
     wall_ms: float = 0.0
     warnings: list = field(default_factory=list)  # {category, message, count} each
 
@@ -31,6 +32,7 @@ class ReportRecord:
             "status": self.status,
             "measured": self.measured,
             "tolerance": self.tolerance,
+            "tolerances": self.tolerances,
             "inputs": self.inputs,
             "wall_ms": round(self.wall_ms, 3),
             "warnings": self.warnings,

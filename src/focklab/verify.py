@@ -880,10 +880,11 @@ CHECK_IDS = [cid for cid, _, _ in CHECKS]
 TOLERANCES = {key: default for _, _, tols in CHECKS for key, default in tols.items()}
 
 
-def _run_one(ctx: VerifyContext, cid: str, fn) -> ReportRecord:
+def _run_one(ctx: VerifyContext, cid: str, fn, tols: dict[str, float]) -> ReportRecord:
     """Run one check; every warning it raises is recorded on its record,
     one entry per distinct (category, message) with its count, in order of
-    first appearance."""
+    first appearance, and so is the effective value of every tolerance key
+    ``tols`` it declares."""
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -894,11 +895,12 @@ def _run_one(ctx: VerifyContext, cid: str, fn) -> ReportRecord:
                                measured={"error": f"{type(exc).__name__}: {exc}"})
     counts = Counter((w.category.__name__, str(w.message)) for w in caught)
     rec.warnings = [{"category": c, "message": m, "count": n} for (c, m), n in counts.items()]
+    rec.tolerances = {key: ctx.tol(key) for key in tols}
     rec.wall_ms = (time.perf_counter() - t0) * 1e3
     return rec
 
 
 def run_suite(ctx: VerifyContext, only: str | None = None) -> list[ReportRecord]:
     """Run (a prefix-filtered subset of) the suite; records in declared order."""
-    return [_run_one(ctx, cid, fn) for cid, fn, _ in CHECKS
+    return [_run_one(ctx, cid, fn, tols) for cid, fn, tols in CHECKS
             if only is None or cid.startswith(only)]

@@ -178,9 +178,10 @@ def test_reading_an_undeclared_key_raises():
         VerifyContext().tol("hermite")
 
 
-@pytest.mark.parametrize("cid, key", [(cid, key) for cid, _, tols in CHECKS for key in tols],
+@pytest.mark.parametrize("cid, key, tols",
+                         [(cid, key, tols) for cid, _, tols in CHECKS for key in tols],
                          ids=list(TOLERANCES))
-def test_every_declared_tol_key_is_applied(tmp_path, cid, key):
+def test_every_declared_tol_key_is_applied(tmp_path, cid, key, tols):
     # no measured defect is negative, so each key must fail its own check;
     # a crashed check would record no tolerance
     out = tmp_path / "r.json"
@@ -188,6 +189,8 @@ def test_every_declared_tol_key_is_applied(tmp_path, cid, key):
     rec, = [r for r in json.loads(out.read_text())["records"] if r["check_id"] == cid]
     assert rec["status"] == "fail"
     assert rec["tolerance"] == (-1.0 if key == cid else TOLERANCES[cid])
+    # the record echoes every key its check declares, sub-keys included
+    assert rec["tolerances"] == {k: -1.0 if k == key else TOLERANCES[k] for k in tols}
 
 
 def test_list_prints_declared_keys(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -54,7 +56,7 @@ def test_csv_readback_keeps_signed_zeros(tmp_path, build):
     assert C.entries.tobytes() == B.entries.tobytes() == M.entries.tobytes()
 
 
-@pytest.mark.parametrize("block", [matio._CSV_BLOCK, 5])
+@pytest.mark.parametrize("block", [matio._CSV_BLOCK, 5, 4])
 def test_csv_writer_format(tmp_path, monkeypatch, block):
     monkeypatch.setattr(matio, "_CSV_BLOCK", block)
     vals = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1 / 3, -1 / 3, 0.1, 1e16, -0.0]
@@ -71,7 +73,18 @@ def test_csv_writer_format(tmp_path, monkeypatch, block):
             re, im = float(ent[i, j].real), float(ent[i, j].imag)
             want.append(f"{i},{j},{re!r},{im!r}")
     assert p.read_text() == "\n".join(want) + "\n"
-    assert read_matrix(p).entries.tobytes() == ent.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 16 records end a block of 4 exactly
+        assert read_matrix(p).entries.tobytes() == ent.tobytes()
+
+
+def test_distinct_matches_unique():
+    rng = np.random.default_rng(5)
+    x = rng.choice(np.array([0.0, -0.0, 1.0, np.nan, -np.inf, 5e-324, -1 / 3]), 1000)
+    values, inverse = matio._distinct(x.view(np.uint64))
+    want, want_inverse = np.unique(x.view(np.uint64), return_inverse=True)
+    assert np.array_equal(values, want)
+    assert np.array_equal(inverse, want_inverse) and inverse.dtype == np.int32
 
 
 def _csv_lines(tmp_path):
@@ -171,3 +184,92 @@ def test_binary_rejects_malformed(tmp_path, edit, match):
     p.write_bytes(edit(p.read_bytes()))
     with pytest.raises(FockLabError, match=match):
         read_matrix(p)
+
+
+def _binary_header(n, N):
+    return matio._HEADER.pack(MAGIC, VERSION, n, N, 0.0, 0.0, 2)
+
+
+def _csv_header(n, N):
+    return (f"# focklab-mat version={VERSION} n={n} N={N} s_domain=0.0 s_codomain=0.0 "
+            "convention=fock\nrow,col,re,im\n")
+
+
+# the binary header stores n and N unsigned, so only n = 0 is out of range there
+@pytest.mark.parametrize("enc, n, N", [("binary", 0, 4), ("binary", 0, 0), ("csv", 0, 4),
+                                       ("csv", 1, -1), ("csv", 2, -3)])
+def test_rejects_header_outside_the_index_range(tmp_path, enc, n, N):
+    p = tmp_path / "m"
+    # one valid-looking (1 x 1) entry, which is what index_count(0, N) asks for
+    if enc == "binary":
+        p.write_bytes(_binary_header(n, N) + bytes(16))
+    else:
+        p.write_text(_csv_header(n, N) + "0,0,1.0,0.0\n")
+    with pytest.raises(FockLabError, match=f"n={n}, N={N}"):
+        read_matrix(p)
+
+
+def test_csv_without_records_is_a_clean_error(tmp_path):
+    p = tmp_path / "m.csv"
+    # no bytes at all, and enough blank lines to pass the size check (16
+    # records need 127 bytes), which loadtxt finds to hold no data
+    for body in ("", "\n" * 200):
+        p.write_text(_csv_header(1, 3) + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FockLabError):
+                read_matrix(p)
+
+
+def test_csv_blank_lines_are_skipped_quietly(tmp_path):
+    p, lines = _csv_lines(tmp_path)
+    p.write_text("".join(lines[:2] + ["\n"] + lines[2:9] + ["\n\n"] + lines[9:] + ["\n"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = read_matrix(p)
+    assert R.entries.tobytes() == weyl_matrix(0.3 - 0.7j, 6).entries.tobytes()
+
+
+@pytest.mark.parametrize("enc", ["binary", "csv"])
+def test_huge_header_is_refused_before_allocating(tmp_path, enc):
+    # (C(100003, 3))^2 ~ 2.8e28 entries: allocating them first would raise
+    # numpy's "array is too big" ValueError or a MemoryError instead
+    p = tmp_path / "m"
+    if enc == "binary":
+        p.write_bytes(_binary_header(3, 100_000) + bytes(16))
+    else:
+        p.write_text(_csv_header(3, 100_000) + "0,0,1.0,0.0\n")
+    with pytest.raises(FockLabError):
+        read_matrix(p)
+
+
+# Traced peaks of one call on the benchmark's n = 3, N = 12 translation
+# matrix (455 x 455, 3.16 MiB of entries), in units of that size.  A read
+# holds the entries and OperatorMatrix's defensive copy, so 2 is its floor;
+# the CSV writer's distinct-value index and repr table come on top.
+_PEAK_BOUNDS = {"write-csv": 3.0, "write-binary": 0.1, "read-csv": 2.3, "read-binary": 2.1}
+
+
+@pytest.mark.parametrize("op", list(_PEAK_BOUNDS))
+def test_io_makes_no_full_size_temporaries(tmp_path, op):
+    from focklab.transforms import translation_matrix
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the section is far from unitary
+        M = translation_matrix(np.full(3, -1.2696), 12)
+    fmt = op.split("-")[1]
+    p = tmp_path / f"m.{fmt}"
+    if op.startswith("read"):
+        write_matrix(p, M, fmt)
+    tracemalloc.start()
+    try:
+        if op.startswith("read"):
+            R = read_matrix(p)
+        else:
+            write_matrix(p, M, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_BOUNDS[op] * M.entries.nbytes
+    if op.startswith("read"):
+        assert R.entries.tobytes() == M.entries.tobytes()
