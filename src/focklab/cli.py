@@ -43,7 +43,6 @@ from .operators import (
 )
 from .reporting import ReportRecord, emit_csv, emit_json, summarize
 from .transforms import OperatorMatrix, translation_matrix, weyl_matrix
-from .verify import CHECKS, TOLERANCES, VerifyContext, run_suite
 
 __all__ = ["main"]
 
@@ -72,12 +71,33 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads every negative float literal
     (``--tol.<key> -1e-3``, ``--s -1e-3``, ``-inf``) as a value, not as an
     option, so the option's own range check reports it: argparse's test
-    knows only -12 and -1.5.  Subparsers inherit it."""
+    knows only -12 and -1.5.  Subparsers inherit it.
 
-    def __init__(self, *args, **kwargs):
+    ``late_options(parser)``, if given, declares further options the first
+    time this parser parses, so a subcommand's option table is imported only
+    when that subcommand runs."""
+
+    def __init__(self, *args, late_options=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+        self._late_options = late_options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._late_options is not None:
+            add, self._late_options = self._late_options, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_tol_options(v: argparse.ArgumentParser) -> None:
+    """verify's ``--tol.<key>`` options, one per declared tolerance key."""
+    from .verify import TOLERANCES
+
+    for key in TOLERANCES:
+        # zero and negative tolerances stay accepted: they force a check to fail
+        v.add_argument(f"--tol.{key}", type=_at_least(-math.inf, float), dest=f"tol.{key}",
+                       help=argparse.SUPPRESS)
 
 
 # Built once per process: argparse keeps no state between parse_args calls
@@ -97,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # No abbreviations: an option another subcommand owns must not be read
     # as a prefix of one of ours (``verify --s 2`` as ``--seed 2``).
-    v = sub.add_parser("verify", help="run the verification suite", allow_abbrev=False)
+    v = sub.add_parser("verify", help="run the verification suite", allow_abbrev=False,
+                       late_options=_add_tol_options)
     v.set_defaults(run=cmd_verify)
     v.add_argument("--only", type=str, default=None,
                    help="run only checks whose id starts with this prefix")
@@ -107,10 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     v.add_argument("--out", type=str, default=None)
     v.add_argument("--seed", type=_at_least(0), default=2718)
-    for key in TOLERANCES:
-        # zero and negative tolerances stay accepted: they force a check to fail
-        v.add_argument(f"--tol.{key}", type=_at_least(-math.inf, float), dest=f"tol.{key}",
-                       help=argparse.SUPPRESS)
 
     s = sub.add_parser("symbol", help="tabulate a symbol on a complex grid",
                        allow_abbrev=False)
@@ -176,12 +193,15 @@ def _provenance() -> dict:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # 0.9k lines that no other command compiles
+
     if args.list:
-        for cid, _, defaults in CHECKS:
+        for cid, _, defaults in verify.CHECKS:
             print(" ".join([cid] + [f"{k}={v!r}" for k, v in defaults.items()]))
         return 0
-    tols = {k: x for k in TOLERANCES if (x := getattr(args, f"tol.{k}")) is not None}
-    records = run_suite(VerifyContext(seed=args.seed, tol_overrides=tols), only=args.only)
+    tols = {k: x for k in verify.TOLERANCES if (x := getattr(args, f"tol.{k}")) is not None}
+    records = verify.run_suite(verify.VerifyContext(seed=args.seed, tol_overrides=tols),
+                               only=args.only)
     if not records:
         _fail_config(f"--only {args.only!r} matches no checks")
     for r in records:

@@ -42,6 +42,9 @@ _CSV_COLUMNS = "row,col,re,im"
 # CSV records per block: the writer formats whole rows of at most this many
 # (one row when a row is longer), the reader parses this many at a time
 _CSV_BLOCK = 1 << 13
+# Longest header or column line the reader accepts, newline included; the
+# writer's header stays under 200 bytes for any u32 n and N
+_CSV_LINE = 1 << 10
 
 
 def write_matrix(path: Path | str, M: OperatorMatrix, fmt: str = "binary") -> None:
@@ -114,9 +117,12 @@ def read_matrix(path: Path | str) -> OperatorMatrix:
             f.seek(0)
             return _read_binary(f)
         f.seek(0)
-        header = f.readline().decode(errors="replace")
-        columns = f.readline().decode(errors="replace")
-        if not header.startswith("# focklab-mat") or columns.strip() != _CSV_COLUMNS:
+        head = f.readline(_CSV_LINE)
+        header = head.decode(errors="replace")
+        columns = f.readline(_CSV_LINE).decode(errors="replace")
+        # a header without its newline is overlong or the whole file
+        if (not head.endswith(b"\n") or not header.startswith("# focklab-mat")
+                or columns.strip() != _CSV_COLUMNS):
             raise FockLabError(f"{path} is neither a focklab binary nor CSV matrix")
         room = os.fstat(f.fileno()).st_size - f.tell()
         with io.TextIOWrapper(f, errors="replace") as text:

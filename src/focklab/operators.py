@@ -500,13 +500,13 @@ def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
     The basis V is stored row-wise, and the tridiagonal matrix is filled in
     place.  Each step projects the new vector against all of V by one
     classical Gram-Schmidt pass, and by a second only when the remainder
-    falls below 0.7 times the projection (the DGKS test).  A cycle builds at most 64 vectors; it stops when the top Ritz
-    pair (theta, y) of the tridiagonal matrix has the residual
-    beta_j |y_last| <= 1e-12 theta (ARPACK's test; an exact breakdown
-    beta_j = 0, as for a zero operator, always passes), and otherwise the
-    next cycle restarts from the top Ritz vector.  After ``max_iter`` cycles
-    theta is returned unconverged; a Ritz value is never above the top
-    eigenvalue.
+    falls below 0.7 times the projection (the DGKS test).  A cycle builds
+    at most 64 vectors; it stops when the top Ritz pair (theta, y) of the
+    tridiagonal matrix has the residual beta_j |y_last| <= 1e-12 theta
+    (ARPACK's test; an exact breakdown beta_j = 0, as for a zero operator,
+    always passes), and otherwise the next cycle restarts from the top Ritz
+    vector.  After ``max_iter`` cycles theta is returned unconverged; a Ritz
+    value is never above the top eigenvalue.
     """
     P = v.size
     K = min(_KRYLOV, P)

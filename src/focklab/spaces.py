@@ -152,7 +152,14 @@ def smoothing_constant(s: float, K: int) -> float:
         return math.sqrt(0.5 * (-1) ** (k + 1) * math.gamma(1.0 - float(d)) * float(S))
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)  # each panel's rule, on [-1, 1]
+@lru_cache(maxsize=None)
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Each panel's 24-node Gauss-Legendre rule on [-1, 1], built on first
+    use: only the square-function routes load numpy.polynomial.  Read-only,
+    as every caller shares it."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _semigroup_integrals(lam: np.ndarray, s: float, K: int) -> np.ndarray:
@@ -171,9 +178,10 @@ def _semigroup_integrals(lam: np.ndarray, s: float, K: int) -> np.ndarray:
     h = 0.5 * np.log(lam)
     a, b = -20.0 - h.max(), 18.0 - h.min()
     half = 0.5 * (b - a) / 64  # panel half-width
-    v = (a + half * (2 * np.arange(64) + 1))[:, None] + half * _GL_X
+    x, w = _panel_rule()
+    v = (a + half * (2 * np.arange(64) + 1))[:, None] + half * x
     u = 2.0 * (v.ravel() + h[:, None])
-    body = half * (np.exp(-s * u + 2.0 * K * np.log(-np.expm1(-np.exp(u)))) @ np.tile(_GL_W, 64))
+    body = half * (np.exp(-s * u + 2.0 * K * np.log(-np.expm1(-np.exp(u)))) @ np.tile(w, 64))
     lower = np.exp((4.0 * K - 2.0 * s) * (a + h)) / (4.0 * K - 2.0 * s)
     upper = np.exp(-2.0 * s * (b + h)) / (2.0 * s)
     return lam ** s * (body + lower + upper)

@@ -100,18 +100,22 @@ def test_every_declared_name_is_reached():
 
 
 def test_library_imports_no_scipy(tmp_path):
-    # in a fresh interpreter: the test modules import scipy themselves
+    # in a fresh interpreter: the test modules import scipy themselves.
+    # export and probe run first, and load neither the verification suite
+    # nor numpy.polynomial (the square-function routes' Gauss-Legendre rule)
     code = ("import sys\n"
             f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
             "import focklab.cli\n"
-            "from focklab.verify import VerifyContext, run_suite\n"
-            "run_suite(VerifyContext(seed=23))\n"
             "focklab.cli.main(['export', '--matrix', 'weyl:0.5', '--N', '16', "
             f"'--out', {str(tmp_path / 'W.mat')!r}])\n"
             "focklab.cli.main(['probe', '--multiplier', 'bump', '--s', '1', '--N', '8', "
             f"'--N', '16', '--classical', '--out', {str(tmp_path / 'probe.json')!r}])\n"
+            "print(sorted(m for m in ('focklab.verify', 'numpy.polynomial') "
+            "if m in sys.modules))\n"
+            "from focklab.verify import VerifyContext, run_suite\n"
+            "run_suite(VerifyContext(seed=23))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        timeout=300)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["[]"]
+    assert r.stdout.split() == ["[]", "[]"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -211,6 +212,23 @@ def test_timed_checks_deterministic_modulo_timing(tmp_path, only):
     assert strip_timing(a.read_text()) == strip_timing(b.read_text())
     ids = [r["check_id"] for r in json.loads(a.read_text())["records"]]
     assert ids == [c for c in CHECK_IDS if c.startswith(only)]
+
+
+def test_report_does_not_depend_on_blas_threads(tmp_path):
+    # one and two BLAS/OpenMP threads, each fixed before numpy loads: the
+    # operators checks' norms, SVDs and Gram products must not see the split
+    src = str(Path(cli.__file__).resolve().parents[1])
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run([sys.executable, "-m", "focklab.cli", "verify", "--seed", "23",
+                            "--only", "operators", "--out", str(out)],
+                           capture_output=True, text=True, timeout=300, env=env)
+        assert r.returncode in (0, 1), r.stderr
+        texts.append(strip_timing(out.read_text()))
+    assert texts[0] == texts[1]
 
 
 def test_determinism_modulo_timing(tmp_path):

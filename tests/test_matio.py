@@ -35,11 +35,17 @@ def test_binary_roundtrip_bit_identical(tmp_path):
 
 
 def test_csv_roundtrip_full_precision(tmp_path):
-    M = weyl_matrix(0.3 - 0.7j, 6)
+    # the longest floats and convention name in the header; with 18 more
+    # digits for u32 n and N it stays far inside the reader's line bound
+    M = replace(weyl_matrix(0.3 - 0.7j, 6), convention=Convention.BARGMANN_H,
+                s_domain=-1.7976931348623157e308, s_codomain=-2.2250738585072014e-308)
     p = tmp_path / "w.csv"
     write_matrix(p, M, fmt="csv")
+    assert len(p.read_bytes().split(b"\n", 1)[0]) + 18 < matio._CSV_LINE // 4
     R = read_matrix(p)
     assert R.entries.tobytes() == M.entries.tobytes()  # repr round-trips floats exactly
+    assert (R.s_domain, R.s_codomain, R.convention) == (M.s_domain, M.s_codomain,
+                                                        M.convention)
 
 
 @pytest.mark.parametrize("build", [
@@ -241,6 +247,24 @@ def test_huge_header_is_refused_before_allocating(tmp_path, enc):
         p.write_text(_csv_header(3, 100_000) + "0,0,1.0,0.0\n")
     with pytest.raises(FockLabError):
         read_matrix(p)
+
+
+def test_overlong_first_line_is_refused_without_reading_it(tmp_path):
+    # 50 MiB with no newline: an unbounded readline holds the line and its
+    # decoded text (~101 MiB traced) before refusing it
+    p = tmp_path / "m"
+    with p.open("wb") as f:
+        f.write(b"# focklab-mat version=1 ")
+        for _ in range(50):
+            f.write(b"x" * (1 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FockLabError, match="neither a focklab binary nor CSV matrix"):
+            read_matrix(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # Traced peaks of one call on the benchmark's n = 3, N = 12 translation
