@@ -1,5 +1,5 @@
-"""Calibration file: empirically measured thresholds and equivalence
-constants that the verification suite reads instead of hard-coding.
+"""Calibration file: the measured growth-classification thresholds that the
+probes and the verification suite read instead of hard-coding.
 
 The file is a flat ``key = value`` document with ``#`` provenance comments,
 regenerated by ``focklab calibrate`` and checked into the repository.  The
@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import CalibrationError
-from .hermite import Convention, random_vector
 from .multipliers import bump, chirp43, constant, signum
 from .operators import (
     GrowthThresholds,
@@ -23,11 +21,8 @@ from .operators import (
     conjugated_multiplier_matrix,
     operator_norm,
 )
-from .spaces import sobolev_norm
-from .transforms import ladder_seminorm
 
 __all__ = [
-    "Calibration",
     "default_calibration_path",
     "load_calibration",
     "save_calibration",
@@ -37,30 +32,7 @@ __all__ = [
 
 SCHEMA = "focklab-calibration/1"
 
-REQUIRED_KEYS = (
-    "growth.G",
-    "growth.S",
-    "ladder.k1.lo", "ladder.k1.hi",
-    "ladder.k2.lo", "ladder.k2.hi",
-    "signum.entry01.tol",
-)
-
-
-@dataclass(frozen=True)
-class Calibration:
-    values: dict[str, float]
-    seed: int
-
-    def __getitem__(self, key: str) -> float:
-        try:
-            return self.values[key]
-        except KeyError:
-            raise CalibrationError(
-                f"calibration key {key!r} missing; rerun `focklab calibrate`") from None
-
-    @property
-    def growth_thresholds(self) -> GrowthThresholds:
-        return GrowthThresholds(G=self["growth.G"], S=self["growth.S"])
+REQUIRED_KEYS = ("growth.G", "growth.S")
 
 
 def default_calibration_path() -> Path:
@@ -70,13 +42,14 @@ def default_calibration_path() -> Path:
     return Path(resources.files("focklab").joinpath("calibration.txt"))
 
 
-def load_calibration(path: Path | None = None) -> Calibration:
+def load_calibration(path: Path | None = None) -> GrowthThresholds:
+    """The growth thresholds in the calibration file (default
+    ``default_calibration_path()``); a missing key, or any other key, is refused."""
     p = path or default_calibration_path()
     if not p.exists() or p.stat().st_size == 0:
         raise CalibrationError(
             f"calibration file {p} missing or empty; run `focklab calibrate` first")
     values: dict[str, float] = {}
-    seed = 0
     schema = None
     for raw in p.read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -87,8 +60,6 @@ def load_calibration(path: Path | None = None) -> Calibration:
         key, _, val = (t.strip() for t in line.partition("="))
         if key == "schema":
             schema = val
-        elif key == "seed":
-            seed = int(val)
         else:
             values[key] = float(val)
     if schema != SCHEMA:
@@ -100,17 +71,15 @@ def load_calibration(path: Path | None = None) -> Calibration:
     if unknown:
         raise CalibrationError(
             f"calibration file has keys no check reads: {unknown}; rerun `focklab calibrate`")
-    return Calibration(values=values, seed=seed)
+    return GrowthThresholds(G=values["growth.G"], S=values["growth.S"])
 
 
-def save_calibration(path: Path, values: dict[str, float], comments: dict[str, str],
-                     seed: int) -> None:
+def save_calibration(path: Path, values: dict[str, float], comments: dict[str, str]) -> None:
     lines = [
         "# Calibration constants measured by `focklab calibrate`.",
         "# Regenerate with:  focklab calibrate --out <this file>",
         "# Values are oracle measurements with stated safety margins, not hand-picked.",
         f"schema = {SCHEMA}",
-        f"seed = {seed}",
     ]
     for key in sorted(values):
         c = comments.get(key)
@@ -120,10 +89,10 @@ def save_calibration(path: Path, values: dict[str, float], comments: dict[str, s
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_calibration(seed: int = 2718, verbose: bool = False) -> tuple[dict[str, float], dict[str, str]]:
-    """The mandatory oracle run: measure growth ratios, ladder-seminorm intervals
-    and the signum entry accuracy, and derive thresholds with stated margins
-    (norm-ratio bounds with exact extremes are computed by their checks)."""
+def run_calibration(verbose: bool = False) -> tuple[dict[str, float], dict[str, str]]:
+    """The mandatory oracle run: measure the growth ratios of known stable and
+    growing norm sequences and put both thresholds at their geometric
+    midpoint (every other bound a check asserts is exact or stated)."""
     values: dict[str, float] = {}
     comments: dict[str, str] = {}
 
@@ -171,29 +140,4 @@ def run_calibration(seed: int = 2718, verbose: bool = False) -> tuple[dict[str, 
         f"smallest growing last/first {best_growing:.4f}")
     values["growth.S"] = mid
     comments["growth.S"] = "same midpoint; stable means max/min below it"
-
-    # --- ladder seminorm vs weighted norm, integer orders
-    log("ladder equivalence ...")
-    for k in (1, 2):
-        ratios = []
-        for N in (16, 32):
-            for i in range(10):
-                v = random_vector(1, N, Convention.PAPER_H, seed + 120 + i)
-                ratios.append(ladder_seminorm(v, k) / sobolev_norm(v, float(k)))
-        lo, hi = min(ratios), max(ratios)
-        values[f"ladder.k{k}.lo"] = lo / 1.15
-        values[f"ladder.k{k}.hi"] = hi * 1.15
-        comments[f"ladder.k{k}.lo"] = f"observed [{lo:.4f}, {hi:.4f}], 15% margin"
-        comments[f"ladder.k{k}.hi"] = "see lo"
-
-    # --- translation-matrix quadrature accuracy (off-diagonal rough multiplier)
-    log("signum entry tolerance ...")
-    M01 = conjugated_multiplier_matrix(signum(), 8)
-    exact = math.sqrt(2.0 / math.pi)
-    err = abs(abs(M01.entries[0, 1]) - exact)
-    values["signum.entry01.tol"] = max(err * 3.0, 1e-12)
-    comments["signum.entry01.tol"] = (
-        f"|entry(0,1)| vs half-line Gaussian value {exact:.6f}: observed error "
-        f"{err:.2e} at the default rule (discontinuous integrand converges slowly); 3x margin")
-
     return values, comments

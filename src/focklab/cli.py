@@ -6,7 +6,7 @@ Subcommands:
     symbol     tabulate a multiplier's symbol on a complex grid
     probe      boundedness probe (optionally with the classical contrast)
     export     write an operator matrix in the documented binary/CSV layout
-    calibrate  run the oracle measurements and write the calibration file
+    calibrate  measure the growth thresholds and write the calibration file
 
 Exit status: 0 all checks passed, 1 some check failed, 2 configuration error.
 """
@@ -162,10 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--encoding", choices=("binary", "csv"), default="binary")
     e.add_argument("--out", type=str, required=True)
 
-    c = sub.add_parser("calibrate", help="run the oracle measurements", allow_abbrev=False)
+    c = sub.add_parser("calibrate", help="measure the growth thresholds", allow_abbrev=False)
     c.set_defaults(run=cmd_calibrate)
     c.add_argument("--out", type=str, default=None)
-    c.add_argument("--seed", type=_at_least(0), default=2718)
     c.add_argument("--verbose", action="store_true")
     return p
 
@@ -295,7 +294,7 @@ def cmd_probe(args) -> int:
         m = parse_multiplier(args.multiplier)
     except (KeyError, ValueError) as exc:
         _fail_config(str(exc))
-    th = load_calibration().growth_thresholds
+    th = load_calibration()
     reports = [boundedness_probe(m, args.s, N_list, th)]
     if args.classical:
         reports.append(classical_sobolev_probe(m, args.s, N_list, th))
@@ -362,9 +361,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    values, comments = run_calibration(seed=args.seed, verbose=args.verbose)
+    values, comments = run_calibration(verbose=args.verbose)
     out = Path(args.out) if args.out else default_calibration_path()
-    save_calibration(out, values, comments, args.seed)
+    save_calibration(out, values, comments)
     print(f"calibration written to {out}", file=sys.stderr)
     return 0
 

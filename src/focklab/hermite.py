@@ -462,6 +462,8 @@ def random_vector(n: int, N: int, convention: Convention, seed: int,
                   band: int | None = None, normalize: bool = True) -> SpectralVector:
     """Deterministic complex Gaussian coefficients; ``band`` keeps only
     |alpha| <= band (band-limited test vectors)."""
+    if band is not None and band < 0:
+        raise ValueError(f"band must be >= 0, got {band}")
     rng = np.random.default_rng(seed)
     count = index_count(n, N)
     c = rng.standard_normal(count) + 1j * rng.standard_normal(count)

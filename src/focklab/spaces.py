@@ -321,6 +321,8 @@ def localization_norm(v: SpectralVector, s: float, bump: PartitionBump,
         raise ValueError(f"bump dimension {bump.dim} != vector dimension {v.dim}")
     if s < 0:
         raise ValueError(f"smoothness order must be >= 0, got {s}")
+    if lattice_radius < 0:
+        raise ValueError(f"lattice_radius must be >= 0, got {lattice_radius}")
     N2, M = v.truncation + 24, lattice_radius
     grid, E, P, lw, edge = _localization_tables(bump, v.convention, N2, M)
     coeffs = P @ (lw * synthesize(v, grid.nodes) * E).T

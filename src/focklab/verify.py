@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import Calibration, load_calibration
+from .calibration import load_calibration
 from .errors import DivergenceError
 from .hermite import (
     Convention,
@@ -45,6 +45,7 @@ from .hermite import (
 )
 from .multipliers import MultiplierSpec, bump, chirp43, constant, modulation, signum
 from .operators import (
+    GrowthThresholds,
     apply_integral_operator,
     boundedness_probe,
     classical_sobolev_probe,
@@ -97,16 +98,17 @@ __all__ = ["VerifyContext", "CHECKS", "CHECK_IDS", "TOLERANCES", "run_suite"]
 class VerifyContext:
     seed: int = 2718
     tol_overrides: dict[str, float] = field(default_factory=dict)
-    calibration: Calibration | None = None
+    growth: GrowthThresholds | None = None
 
     def tol(self, key: str) -> float:
         default = TOLERANCES[key]  # KeyError on an undeclared key
         return self.tol_overrides.get(key, default)
 
-    def cal(self) -> Calibration:
-        if self.calibration is None:
-            self.calibration = load_calibration()
-        return self.calibration
+    def thresholds(self) -> GrowthThresholds:
+        """The calibrated growth thresholds, loaded on first use."""
+        if self.growth is None:
+            self.growth = load_calibration()
+        return self.growth
 
     def rng_seed(self, check_id: str) -> int:
         return self.seed + (zlib.crc32(check_id.encode()) & 0xFFFF)
@@ -397,7 +399,7 @@ def check_localization_interval(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Exact range of ||f||_loc / ||f||_s: each cell's re-projected piece is
     P diag(lw eta_m) B^T c, from the tables ``localization_norm`` uses.  At
     s = 1 both ends must be stable in N, at s = 0 inside the overlap bounds."""
-    th = ctx.cal().growth_thresholds
+    th = ctx.thresholds()
     bmp = PartitionBump()
     smin, smax = bmp.squared_sum_range()
     ext: dict[str, dict[str, list[float]]] = {"s=0": {}, "s=1": {}}
@@ -463,7 +465,7 @@ def check_fock_equivalence(ctx: VerifyContext, cid: str) -> ReportRecord:
 def check_potential_bound(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Ground-state moment, and the exact top of ``potential_bound_probe``,
     the norm of c -> sqrt(w) |x|^{2s} B^T H^{-s} c on its grid: stable in N."""
-    th = ctx.cal().growth_thresholds
+    th = ctx.thresholds()
     v0 = SpectralVector.unit(1, 8, Convention.BARGMANN_H, 0)
     worst = abs(potential_bound_probe(v0, 1.0) - math.sqrt(3) / 4)
     tol = ctx.tol(cid)
@@ -562,7 +564,7 @@ def check_weyl(ctx: VerifyContext, cid: str) -> ReportRecord:
     shift bound ||W_a v||_s <= C (1+|a|)^s ||v||_s: the exact C, the top of
     D^{s/2} W_a D^{-s/2} over (1+|a|)^s, is reported, not fitted, and must
     be stable in N; at s = 0 the section of a unitary has norm <= 1."""
-    th = ctx.cal().growth_thresholds
+    th = ctx.thresholds()
     tol = ctx.tol(cid)
     a = 0.5 + 0.4j
     N = 12
@@ -674,20 +676,59 @@ def check_ladder_shift(ctx: VerifyContext, cid: str) -> ReportRecord:
     return _record(cid, worst <= tol, worst, tol)
 
 
+# The ladder words of length <= k (identity, lower, raise; then lower-lower,
+# raise-lower, lower-raise, raise-raise) are weighted shifts, word_w e_j =
+# f_w(j) e_{j+shift}.  On vectors supported on 0..N-k no word leaves the
+# truncated space, and Q(v) = ||v||^2 + sum_w ||word_w(v)||^2 is diagonal, with
+# Q_j = 4j + 3 (k = 1) or 16j^2 + 20j + 15 (k = 2): sqrt(Q_j / (2j+1)^k) lies in
+# (sqrt 2, sqrt 3] or (2, sqrt 15], largest at e_0.  Cauchy-Schwarz over the
+# W = 3 or 7 words gives sqrt(Q) <= ||v||_ladder,k <= sqrt(W Q), so the ratio
+# ||v||_ladder,k / ||v||_k lies in [sqrt 2, 3] or [2, sqrt 105] at every N.
+_LADDER_WORDS = {1: lambda j: [1, 2 * j, 2 * j + 2],  # f_w(j)^2, in the order above
+                 2: lambda j: [1, 2 * j, 2 * j + 2, 4 * j * (j - 1), 4 * j * j,
+                               (2 * j + 2) ** 2, (2 * j + 2) * (2 * j + 4)]}
+_LADDER_RANGE = {1: (math.sqrt(2), math.sqrt(3), 3.0), 2: (2.0, math.sqrt(15), math.sqrt(105))}
+
+
 @check("transforms.ladder-seminorm")
 def check_ladder_seminorm(ctx: VerifyContext, cid: str) -> ReportRecord:
-    cal = ctx.cal()
-    ok = True
-    vals = []
-    for k in (1, 2):
-        lo, hi = cal[f"ladder.k{k}.lo"], cal[f"ladder.k{k}.hi"]
-        for N in (16, 32):
-            for i in range(5):
-                v = random_vector(1, N, Convention.PAPER_H, ctx.rng_seed(cid) + i)
-                r = ladder_seminorm(v, k) / sobolev_norm(v, float(k))
-                vals.append(r)
-                ok &= lo <= r <= hi
-    return _record(cid, ok, {"ratio_min": min(vals), "ratio_max": max(vals)}, None)
+    """||v||_ladder,k against ||v||_k on interior support, k = 1, 2: Q's
+    diagonal, read off the words of the all-ones vector at index j + shift,
+    against its closed form and range; the extremal e_j and one fixed vector
+    through ``ladder_seminorm``, against e_j's closed form and Cauchy-Schwarz."""
+    ok, form_defect, route = True, 0.0, 0.0
+    ext: dict[str, dict[str, list[float]]] = {"k=1": {}, "k=2": {}}
+    e0: dict[str, float] = {}
+    for N in _LADDER:
+        ones = SpectralVector(1, N, Convention.PAPER_H, np.ones(N + 1))
+        words, Qp = [(ones, 0)], np.ones(N + 5)  # Qp[2 + j] = Q_j
+        for k in (1, 2):
+            words = [(ladder(w, d), shift + step) for w, shift in words
+                     for d, step in (("lower", -1), ("raise", 1))]
+            for w, shift in words:
+                Qp[2 - shift:3 - shift + N] += np.abs(w.coeffs) ** 2
+            j = np.arange(N + 1 - k)
+            Q, exact = Qp[2:3 + N - k], sum(_LADDER_WORDS[k](j))
+            form_defect = max(form_defect, float(np.max(np.abs(Q - exact) / exact)))
+            r = np.sqrt(Q / (2 * j + 1.0) ** k)
+            lo, hi, cs = _LADDER_RANGE[k]
+            ok &= lo < r.min() and r.max() <= hi * (1 + _ROUTE_REL)
+            ext[f"k={k}"][str(N)] = [float(r.min()), float(r.max())]
+            ratios = []
+            for i in (0, N - k):
+                e = SpectralVector.unit(1, N, Convention.PAPER_H, i)
+                got, want = ladder_seminorm(e, k), sum(map(math.sqrt, _LADDER_WORDS[k](i)))
+                route = max(route, abs(got - want) / want)
+                ratios.append(got / sobolev_norm(e, float(k)))
+            e0[f"k={k}"] = ratios[0]  # the same at every N
+            v = SpectralVector(1, N, Convention.PAPER_H, np.append(1.0 / (j + 1), np.zeros(k)))
+            ratios.append(ladder_seminorm(v, k) / sobolev_norm(v, float(k)))
+            ok &= all(lo <= x <= cs for x in ratios)
+    ok &= form_defect <= _ROUTE_REL and route <= _ROUTE_REL
+    return _record(cid, ok, {"extremes": ext, "form_defect": form_defect,
+                             "route_defect": route, "e0_ratio": e0}, None,
+                   form_range={f"k={k}": [lo, hi] for k, (lo, hi, _) in _LADDER_RANGE.items()},
+                   cauchy_schwarz={f"k={k}": [lo, cs] for k, (lo, _, cs) in _LADDER_RANGE.items()})
 
 
 # --------------------------------------------------------------- operators
@@ -836,9 +877,14 @@ def check_norm_transport(ctx: VerifyContext, cid: str) -> ReportRecord:
     return _record(cid, worst <= tol, worst, tol)
 
 
+# |entry(0, 1)| of the signum matrix at N = 8 against the half-line Gaussian
+# value sqrt(2/pi): the default rule's error there is 1.04e-2, since the
+# integrand jumps at 0 and the rule converges slowly; the bound is 3x that.
+SIGNUM_ENTRY01_BOUND = 0.031
+
+
 @check("operators.multiplier-matrix", tol=1e-12)
 def check_multiplier_matrix(ctx: VerifyContext, cid: str) -> ReportRecord:
-    cal = ctx.cal()
     tol = ctx.tol(cid)
     M1 = multiplier_matrix(constant(1.0), 16)
     worst = float(np.abs(M1.entries - np.eye(index_count(1, 16))).max())
@@ -846,7 +892,7 @@ def check_multiplier_matrix(ctx: VerifyContext, cid: str) -> ReportRecord:
     worst = max(worst, float(np.abs(Mb.entries - Mb.entries.conj().T).max()))
     Ms = multiplier_matrix(signum(), 8)
     entry_err = abs(abs(Ms.entries[0, 1]) - math.sqrt(2 / math.pi))
-    ok = worst <= tol and entry_err <= cal["signum.entry01.tol"]
+    ok = worst <= tol and entry_err <= SIGNUM_ENTRY01_BOUND
     return _record(cid, ok, {"identity_and_hermiticity": worst,
                              "signum_entry_error": entry_err}, tol)
 
@@ -855,8 +901,7 @@ def check_multiplier_matrix(ctx: VerifyContext, cid: str) -> ReportRecord:
 def check_probes(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Boundedness contrast at first-order smoothness: flat vs oscillator
     weights classify the registry multipliers differently."""
-    cal = ctx.cal()
-    th = cal.growth_thresholds
+    th = ctx.thresholds()
     Ns = (8, 16, 32, 64)
     reports = {
         "constant": boundedness_probe(constant(1.0), 1.0, Ns, th),

@@ -168,8 +168,7 @@ def test_criterion_06_square_function_identity():
 
 
 def test_criterion_07_boundedness_contrast():
-    cal = load_calibration()
-    th = cal.growth_thresholds
+    th = load_calibration()
     Ns = (8, 16, 32, 64)
     rc = boundedness_probe(constant(1.0), 1.0, Ns, th)
     rs = boundedness_probe(signum(), 1.0, Ns, th)
@@ -195,7 +194,7 @@ def test_criterion_08_localization():
     rec, = run_suite(VerifyContext(), only="spaces.localization-interval")
     ext = rec.measured["extremes"]
     ok &= rec.status == "pass" and rec.measured["route_defect"] <= 1e-12
-    th = load_calibration().growth_thresholds
+    th = load_calibration()
     ok &= all(classify_growth([lh[j] for lh in ext["s=1"].values()], th) == "stable"
               for j in (0, 1))
     smin, smax = bmp.squared_sum_range()

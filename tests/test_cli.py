@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -53,11 +54,10 @@ def test_probe_rejects_out_of_range_s(capsys, s):
     assert "expected one argument" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["verify", "calibrate"])
-def test_negative_seed_is_rejected(tmp_path, capsys, command):
+def test_negative_seed_is_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        run_cli(command, "--seed", "-70000", "--out", str(out))
+        run_cli("verify", "--seed", "-70000", "--out", str(out))
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
@@ -119,6 +119,7 @@ def test_export_rejects_non_finite_selector_values(tmp_path, selector):
     ("export", "--matrix", "identity", "--s", "1"),
     ("export", "--matrix", "identity", "--tol.hermite.orthonormality", "0"),
     ("calibrate", "--multiplier", "bump"),
+    ("calibrate", "--seed", "2718"),
     ("verify", "--s", "2"),
 ], ids=lambda argv: argv[0] + argv[-2])
 def test_option_of_another_subcommand_is_rejected(tmp_path, capsys, argv):
@@ -524,20 +525,27 @@ def test_calibration_env_override(tmp_path, monkeypatch):
     dst = tmp_path / "cal.txt"
     shutil.copy(src, dst)
     monkeypatch.setenv("FOCKLAB_CALIBRATION", str(dst))
-    assert load_calibration()["growth.G"] > 1.0
+    assert load_calibration().G > 1.0
     monkeypatch.setenv("FOCKLAB_CALIBRATION", str(tmp_path / "missing.txt"))
     with pytest.raises(CalibrationError):
         load_calibration()
 
 
-def test_stale_calibration_key_fails_loudly(tmp_path, monkeypatch):
-    # a file from before the exact norm-ratio bounds still carries weyl.C
+@pytest.mark.parametrize("line", [
+    "weyl.C = 1.3078368168670744",
+    "ladder.k2.hi = 5.145335518279746",
+    "signum.entry01.tol = 0.031113486114157318",
+    "seed = 2718",
+], ids=lambda line: line.split(" = ")[0])
+def test_stale_calibration_key_fails_loudly(tmp_path, monkeypatch, line):
+    # a file from before the exact norm-ratio and ladder bounds still carries
+    # weyl.C, the ladder intervals, the signum tolerance or the draw seed
     from focklab.calibration import default_calibration_path, load_calibration
     from focklab.errors import CalibrationError
 
     dst = tmp_path / "cal.txt"
-    dst.write_text(default_calibration_path().read_text() + "weyl.C = 1.3078368168670744\n")
+    dst.write_text(default_calibration_path().read_text() + line + "\n")
     monkeypatch.setenv("FOCKLAB_CALIBRATION", str(dst))
-    with pytest.raises(CalibrationError, match="weyl.C"):
+    with pytest.raises(CalibrationError, match=re.escape(repr(line.split(" = ")[0]))):
         load_calibration()
     assert run_cli("verify", "--only", "transforms.weyl", "--out", str(tmp_path / "r.json")) == 1

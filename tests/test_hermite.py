@@ -70,6 +70,8 @@ class TestIndexArray:
             index_array(0, 3)
         with pytest.raises(ValueError):
             index_array(2, -1)
+        with pytest.raises(ValueError, match="band"):
+            random_vector(1, 4, Convention.PAPER_H, 0, band=-1)
 
     @pytest.mark.parametrize("alpha", [(1, -1), (5, 0), (1, 2, 0), 7], ids=str)
     def test_out_of_range_multi_index_names_the_index_set(self, alpha):

@@ -43,6 +43,7 @@ from focklab.operators import (
 )
 from focklab.spaces import eigenvalues
 from focklab.transforms import interior_block, interior_frobenius, weyl_matrix
+from focklab.verify import SIGNUM_ENTRY01_BOUND
 
 
 def project_fock(F, N, grid2n):
@@ -70,7 +71,7 @@ def apply_pointwise(sym, F, zs, grid2n):
 
 @pytest.fixture(scope="module")
 def thresholds():
-    return load_calibration().growth_thresholds
+    return load_calibration()
 
 
 class TestSymbolTransform:
@@ -267,10 +268,8 @@ class TestMultiplierMatrix:
 
     def test_signum_entry_against_half_line_oracle(self):
         # 2 Int_0^inf hh_0 hh_1 dx = sqrt(2/pi), from the half-line Gaussian moment
-        cal = load_calibration()
         M = multiplier_matrix(signum(), 8)
-        assert abs(abs(M.entries[0, 1]) - math.sqrt(2 / math.pi)) \
-            <= cal["signum.entry01.tol"]
+        assert abs(abs(M.entries[0, 1]) - math.sqrt(2 / math.pi)) <= SIGNUM_ENTRY01_BOUND
 
     def test_checker_sparsity_for_odd_multiplier(self):
         M = multiplier_matrix(signum(), 10)

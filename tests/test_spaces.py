@@ -51,6 +51,8 @@ class TestSobolevNorm:
         v = random_vector(1, 4, Convention.PAPER_H, 0)
         with pytest.raises(ValueError):
             sobolev_norm(v, -0.5)
+        with pytest.raises(ValueError, match="lattice_radius"):
+            localization_norm(v, 0.0, PartitionBump(), -1)
 
 
 class TestFractionalOperator:

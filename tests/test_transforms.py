@@ -326,14 +326,16 @@ class TestLadderIdentities:
                 assert fractional_shift_defect(v, sigma, 1, direction) <= 1e-12
 
     def test_ladder_seminorm_two_sided(self):
-        # the word-sum norm and the spectral norm bound each other
-        for k in (1, 2):
-            ratios = []
-            for seed in range(5):
-                v = random_vector(1, 24, Convention.PAPER_H, 20 + seed)
-                ratios.append(ladder_seminorm(v, k) / sobolev_norm(v, float(k)))
-            assert max(ratios) / min(ratios) <= 3.0
-            assert min(ratios) > 0.5
+        # on vectors supported on 0..N-k no word leaves the truncated space, and
+        # Cauchy-Schwarz over the 3 or 7 words, identity included, puts the
+        # word-sum norm over the spectral one in [sqrt(2), 3] or [2, sqrt(105)]
+        N = 24
+        for k, (lo, hi) in ((1, (math.sqrt(2), 3.0)), (2, (2.0, math.sqrt(105)))):
+            vs = [random_vector(1, N, Convention.PAPER_H, 20 + seed, band=N - k)
+                  for seed in range(5)]
+            vs.append(SpectralVector.unit(1, N, Convention.PAPER_H, 0))
+            for v in vs:
+                assert lo <= ladder_seminorm(v, k) / sobolev_norm(v, float(k)) <= hi
 
 
 class TestOperatorMatrix:

@@ -3,7 +3,8 @@ warnings verify records.
 
 Each reference below builds the ratio's quadratic form by polarization,
 O(K^2) calls of the public function on sums of unit vectors, independently
-of the form matrix the check assembles from the function's tables.
+of the form matrix the check assembles from the function's tables; the
+ladder seminorm's diagonal form is checked against its closed forms.
 """
 import json
 import math
@@ -22,11 +23,11 @@ from focklab.spaces import (
     weighted_fock_norm,
 )
 from focklab.transforms import weyl_matrix
-from focklab.verify import VerifyContext, run_suite
+from focklab.verify import _LADDER, VerifyContext, run_suite
 
 N = 8
 EXTREMAL = ("spaces.localization-interval", "spaces.fock-equivalence",
-            "spaces.potential-bound", "transforms.weyl")
+            "spaces.potential-bound", "transforms.weyl", "transforms.ladder-seminorm")
 
 
 def _measured(cid):
@@ -116,6 +117,18 @@ def test_fock_equivalence_floor_is_the_monomial_limit(s):
     R = [math.sqrt(m(k) / (m(0) * (2 * k + 1) ** s)) for k in (0, 1, 10, 1000, 100000)]
     assert R[0] == 1.0 and R == sorted(R, reverse=True)
     assert floor < R[-1] < floor * (1 + 1e-2)
+
+
+def test_ladder_seminorm_extremes_are_the_closed_forms():
+    # sqrt(Q_j / (2j+1)^k) falls in j: its top is at e_0, its bottom at e_{N-k}
+    ext = _measured("transforms.ladder-seminorm")["extremes"]
+    ratio = {1: lambda j: (4 * j + 3) / (2 * j + 1),
+             2: lambda j: (16 * j * j + 20 * j + 15) / (2 * j + 1) ** 2}
+    for k, r in ratio.items():
+        assert list(ext[f"k={k}"]) == [str(N) for N in _LADDER]
+        for N in _LADDER:
+            want = [math.sqrt(r(N - k)), math.sqrt(r(0))]
+            assert ext[f"k={k}"][str(N)] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_extremal_checks_do_not_depend_on_the_seed():
