@@ -35,7 +35,6 @@ from .multipliers import (
 )
 from .operators import (
     GrowthReport,
-    GrowthThresholds,
     SymbolSpec,
     apply_integral_operator,
     boundedness_probe,

@@ -1,4 +1,4 @@
-"""Calibration file: the measured growth-classification thresholds that the
+"""Calibration file: the measured growth-classification threshold that the
 probes and the verification suite read instead of hard-coding.
 
 The file is a flat ``key = value`` document with ``#`` provenance comments,
@@ -15,7 +15,6 @@ from pathlib import Path
 from .errors import CalibrationError
 from .multipliers import bump, chirp43, constant, signum
 from .operators import (
-    GrowthThresholds,
     _classical_norm,
     _growth_ratios,
     conjugated_multiplier_matrix,
@@ -32,7 +31,7 @@ __all__ = [
 
 SCHEMA = "focklab-calibration/1"
 
-REQUIRED_KEYS = ("growth.G", "growth.S")
+REQUIRED_KEYS = ("growth.threshold",)
 
 
 def default_calibration_path() -> Path:
@@ -42,10 +41,10 @@ def default_calibration_path() -> Path:
     return Path(resources.files("focklab").joinpath("calibration.txt"))
 
 
-def load_calibration(path: Path | None = None) -> GrowthThresholds:
-    """The growth thresholds in the calibration file (default
-    ``default_calibration_path()``); a missing key, or any other key, is refused."""
-    p = path or default_calibration_path()
+def load_calibration() -> float:
+    """The growth threshold in the calibration file at
+    ``default_calibration_path()``; a missing key, or any other key, is refused."""
+    p = default_calibration_path()
     if not p.exists() or p.stat().st_size == 0:
         raise CalibrationError(
             f"calibration file {p} missing or empty; run `focklab calibrate` first")
@@ -64,14 +63,15 @@ def load_calibration(path: Path | None = None) -> GrowthThresholds:
             values[key] = float(val)
     if schema != SCHEMA:
         raise CalibrationError(f"unexpected calibration schema {schema!r}")
-    missing = [k for k in REQUIRED_KEYS if k not in values]
-    if missing:
-        raise CalibrationError(f"calibration file lacks keys: {missing}")
+    # unknown keys first: a stale file then names what it still carries
     unknown = [k for k in values if k not in REQUIRED_KEYS]
     if unknown:
         raise CalibrationError(
             f"calibration file has keys no check reads: {unknown}; rerun `focklab calibrate`")
-    return GrowthThresholds(G=values["growth.G"], S=values["growth.S"])
+    missing = [k for k in REQUIRED_KEYS if k not in values]
+    if missing:
+        raise CalibrationError(f"calibration file lacks keys: {missing}")
+    return values["growth.threshold"]
 
 
 def save_calibration(path: Path, values: dict[str, float], comments: dict[str, str]) -> None:
@@ -91,8 +91,10 @@ def save_calibration(path: Path, values: dict[str, float], comments: dict[str, s
 
 def run_calibration(verbose: bool = False) -> tuple[dict[str, float], dict[str, str]]:
     """The mandatory oracle run: measure the growth ratios of known stable and
-    growing norm sequences and put both thresholds at their geometric
-    midpoint (every other bound a check asserts is exact or stated)."""
+    growing norm sequences and put the threshold at their geometric midpoint,
+    rounded to 12 significant digits: the last bit of the measured midpoint
+    differs between machines, and the file must not (every other bound a
+    check asserts is exact or stated)."""
     values: dict[str, float] = {}
     comments: dict[str, str] = {}
 
@@ -133,11 +135,8 @@ def run_calibration(verbose: bool = False) -> tuple[dict[str, float], dict[str, 
         raise CalibrationError(
             f"growth classes do not separate: stable max/min up to {worst_stable:.4f}, "
             f"growing last/first down to {best_growing:.4f}")
-    mid = math.sqrt(worst_stable * best_growing)
-    values["growth.G"] = mid
-    comments["growth.G"] = (
+    values["growth.threshold"] = float(f"{math.sqrt(worst_stable * best_growing):.12g}")
+    comments["growth.threshold"] = (
         f"geometric midpoint of worst stable max/min {worst_stable:.4f} and "
-        f"smallest growing last/first {best_growing:.4f}")
-    values["growth.S"] = mid
-    comments["growth.S"] = "same midpoint; stable means max/min below it"
+        f"smallest growing last/first {best_growing:.4f}, to 12 significant digits")
     return values, comments

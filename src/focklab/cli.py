@@ -6,7 +6,7 @@ Subcommands:
     symbol     tabulate a multiplier's symbol on a complex grid
     probe      boundedness probe (optionally with the classical contrast)
     export     write an operator matrix in the documented binary/CSV layout
-    calibrate  measure the growth thresholds and write the calibration file
+    calibrate  measure the growth threshold and write the calibration file
 
 Exit status: 0 all checks passed, 1 some check failed, 2 configuration error.
 """
@@ -162,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--encoding", choices=("binary", "csv"), default="binary")
     e.add_argument("--out", type=str, required=True)
 
-    c = sub.add_parser("calibrate", help="measure the growth thresholds", allow_abbrev=False)
+    c = sub.add_parser("calibrate", help="measure the growth threshold", allow_abbrev=False)
     c.set_defaults(run=cmd_calibrate)
     c.add_argument("--out", type=str, default=None)
     c.add_argument("--verbose", action="store_true")

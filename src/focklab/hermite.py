@@ -459,9 +459,9 @@ def convert_convention(v: SpectralVector, target: Convention) -> SpectralVector:
 
 
 def random_vector(n: int, N: int, convention: Convention, seed: int,
-                  band: int | None = None, normalize: bool = True) -> SpectralVector:
-    """Deterministic complex Gaussian coefficients; ``band`` keeps only
-    |alpha| <= band (band-limited test vectors)."""
+                  band: int | None = None) -> SpectralVector:
+    """Deterministic complex Gaussian coefficients, normalized to unit norm;
+    ``band`` keeps only |alpha| <= band (band-limited test vectors)."""
     if band is not None and band < 0:
         raise ValueError(f"band must be >= 0, got {band}")
     rng = np.random.default_rng(seed)
@@ -470,6 +470,4 @@ def random_vector(n: int, N: int, convention: Convention, seed: int,
     if band is not None:
         orders = index_array(n, N).sum(axis=1)
         c = np.where(orders <= band, c, 0.0)
-    if normalize:
-        c = c / np.linalg.norm(c)
-    return SpectralVector(n, N, convention, c)
+    return SpectralVector(n, N, convention, c / np.linalg.norm(c))

@@ -75,7 +75,6 @@ __all__ = [
     "multiplier_matrix",
     "conjugated_multiplier_matrix",
     "operator_norm",
-    "GrowthThresholds",
     "GrowthReport",
     "classify_growth",
     "boundedness_probe",
@@ -237,8 +236,7 @@ def default_mesh_order(N: int) -> int:
     return int(np.clip(16 * (N - 7), 16, 128))
 
 
-def integral_operator_matrix(sym: SymbolSpec, N: int,
-                             grid2n: QuadratureGrid | None = None) -> OperatorMatrix:
+def integral_operator_matrix(sym: SymbolSpec, N: int, grid2n: QuadratureGrid) -> OperatorMatrix:
     """Entries <S e_beta, e_alpha> by quadrature over the complex mesh (the
     same rule integrates the w-side operator and the z-side pairing).
 
@@ -255,8 +253,6 @@ def integral_operator_matrix(sym: SymbolSpec, N: int,
     waves e^{-2 t_q y} outgrow double precision once the mesh reaches far
     beyond the symbol's node range.
     """
-    if grid2n is None:
-        grid2n = gauss_hermite(default_mesh_order(N), 1.0, 2)
     z, wts = _complex_mesh(grid2n)
     Q, ax, t = grid2n.order, grid2n.axis_nodes, sym.nodes
     E = basis_table(1, N, z, Convention.FOCK)
@@ -282,36 +278,29 @@ def _binary_scale(x: np.ndarray) -> float:
     return math.ldexp(1.0, min(max(e, -1022), 1023))
 
 
-def multiplier_matrix(m: MultiplierSpec, N: int,
-                      grid: QuadratureGrid | None = None) -> OperatorMatrix:
-    """Entries Int m(x) hh_beta(x) hh_alpha(x) dx in the bargmann-h system
-    (products carry e^{-2x^2}, so a scale-2 rule of order >= 2N applies).
+def multiplier_matrix(m: MultiplierSpec, N: int) -> OperatorMatrix:
+    """Entries Int m(x) hh_beta(x) hh_alpha(x) dx in the bargmann-h system,
+    by the scale-2 rule of order 2N + 16 (products carry e^{-2x^2}, so any
+    scale-2 rule of order >= 2N applies).
 
     The samples m(x) enter divided by their power-of-two scale and the
     entries are scaled back (exact), which keeps their products with the
     tiny outer weights clear of underflow when |m| is tiny."""
-    if grid is None:
-        grid = gauss_hermite(2 * N + 16, 2.0, 1)
-    if grid.scale != 2.0:
-        raise GridMismatchError("multiplier matrices need a scale-2 grid")
-    if grid.order < 2 * N:
-        raise GridMismatchError(f"grid order {grid.order} < 2N = {2 * N}")
-    n = grid.dim
-    pts = grid.nodes if n > 1 else grid.nodes[:, 0]
-    P = basis_table(n, N, grid.nodes, Convention.BARGMANN_H, weightless=True)
-    vals = m(pts)
+    grid = gauss_hermite(2 * N + 16, 2.0, 1)
+    x = grid.nodes[:, 0]
+    P = basis_table(1, N, grid.nodes, Convention.BARGMANN_H, weightless=True)
+    vals = m(x)
     scale = _binary_scale(vals)
     ent = (P * (grid.weights * (vals / scale))) @ P.T
-    return OperatorMatrix(N, n, ent * scale, Convention.BARGMANN_H)
+    return OperatorMatrix(N, 1, ent * scale, Convention.BARGMANN_H)
 
 
-def conjugated_multiplier_matrix(m: MultiplierSpec, N: int,
-                                 grid: QuadratureGrid | None = None) -> OperatorMatrix:
+def conjugated_multiplier_matrix(m: MultiplierSpec, N: int) -> OperatorMatrix:
     """Fock-side matrix of the Fourier-conjugated multiplication operator:
     the diagonal phases i^|alpha| ... (-i)^|beta| around the multiplier
     matrix, which is the coefficient form of wrapping the multiplier in the
     inverse/forward transforms and moving to the monomial basis."""
-    Mm = multiplier_matrix(m, N, grid)
+    Mm = multiplier_matrix(m, N)
     k = index_array(Mm.dim, N).sum(axis=1)
     u = (-1j) ** k
     ent = np.conj(u)[:, None] * Mm.entries * u[None, :]
@@ -367,15 +356,6 @@ def operator_norm(A: OperatorMatrix, s: float = 0.0, max_iter: int = 64) -> floa
 
 
 @dataclass(frozen=True)
-class GrowthThresholds:
-    """Classification thresholds measured by the calibration run, never invented:
-    growing when last/first > G, stable when max/min < S."""
-
-    G: float
-    S: float
-
-
-@dataclass(frozen=True)
 class GrowthReport:
     multiplier: str
     side: str
@@ -404,11 +384,14 @@ def _growth_ratios(values: Sequence[float]) -> tuple[float, float]:
     return vals[-1] / vals[0], max(vals) / min(vals)
 
 
-def classify_growth(values: Sequence[float], thresholds: GrowthThresholds) -> str:
+def classify_growth(values: Sequence[float], threshold: float) -> str:
+    """Stable when max/min < ``threshold``, else growing when last/first
+    > ``threshold``, else inconclusive; the threshold is the one measured by
+    the calibration run, never invented."""
     last_first, max_min = _growth_ratios(values)
-    if max_min < thresholds.S:
+    if max_min < threshold:
         return "stable"
-    if last_first > thresholds.G:
+    if last_first > threshold:
         return "growing"
     return "inconclusive"
 
@@ -432,7 +415,7 @@ def _truncation_ladder(N_list: Sequence[int]) -> tuple[int, ...]:
 
 
 def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
-                      thresholds: GrowthThresholds) -> GrowthReport:
+                      threshold: float) -> GrowthReport:
     """Weighted operator norms of the conjugated multiplier matrix over an
     increasing truncation list, classified by the calibrated ratio rule.
 
@@ -443,7 +426,7 @@ def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     vals = tuple(operator_norm(conjugated_multiplier_matrix(m, N), s)
                  for N in N_list)
     return GrowthReport(m.label, "hermite", s, N_list, vals,
-                        *_growth_ratios(vals), classify_growth(vals, thresholds))
+                        *_growth_ratios(vals), classify_growth(vals, threshold))
 
 
 def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, float]:
@@ -484,68 +467,59 @@ def _sobolev_weights(k: np.ndarray, s: float, L: float) -> np.ndarray:
     return (1.0 + (math.pi * np.abs(k) / (2.0 * L)) ** 2) ** (s / 2.0)
 
 
-# One Lanczos cycle builds at most _KRYLOV basis vectors and tests for
-# convergence only after the steps in _LANCZOS_TESTS: a 24 x 24 eigh costs
-# about one Gram product at N = 64, so the tests thin out as j grows.
-_KRYLOV = 64
-_LANCZOS_TESTS = frozenset((1, 2, 4, 6, 8, 12, 16, 24, 32, 40, 48, 56))
+# Lanczos tests for convergence only after steps 1, 2, 4, 6, 12, every
+# multiple of 8 and the last: a 24 x 24 eigh costs about one Gram product at
+# N = 64, so the tests thin out as j grows.
+_LANCZOS_TESTS = frozenset((1, 2, 4, 6, 12))
 
 
-def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
-                 max_iter: int) -> tuple[float, bool]:
-    """(theta, converged): the top eigenvalue theta of the Hermitian positive
-    semidefinite operator ``gram``, by Lanczos with full reorthogonalization
-    and explicit restarts from the start vector ``v``.
+def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> float:
+    """The top eigenvalue of the Hermitian positive semidefinite operator
+    ``gram`` on C^P, P = ``v.size``, by one Lanczos cycle with full
+    reorthogonalization from the start vector ``v``.
 
     The basis V is stored row-wise, and the tridiagonal matrix is filled in
     place.  Each step projects the new vector against all of V by one
     classical Gram-Schmidt pass, and by a second only when the remainder
-    falls below 0.7 times the projection (the DGKS test).  A cycle builds
-    at most 64 vectors; it stops when the top Ritz pair (theta, y) of the
-    tridiagonal matrix has the residual beta_j |y_last| <= 1e-12 theta
-    (ARPACK's test; an exact breakdown beta_j = 0, as for a zero operator,
-    always passes), and otherwise the next cycle restarts from the top Ritz
-    vector.  After ``max_iter`` cycles theta is returned unconverged; a Ritz
-    value is never above the top eigenvalue.
+    falls below 0.7 times the projection (the DGKS test).  The cycle stops
+    when the top Ritz pair (theta, y) of the tridiagonal matrix has the
+    residual beta_j |y_last| <= 1e-12 theta (ARPACK's test; an exact
+    breakdown beta_j = 0, as for a zero operator, always passes).  It needs
+    no restart: after P steps the orthonormal basis spans C^P, so theta is
+    the top eigenvalue to rounding.
     """
     P = v.size
-    K = min(_KRYLOV, P)
-    V = np.empty((K, P), dtype=v.dtype)
+    V = np.empty((P, P), dtype=v.dtype)
     # V's transposed copy turns every basis combination h @ V into the
     # row-wise product VT @ h: OpenBLAS splits h @ V across threads for some
     # shapes (P = 179 among them), so its rounding would follow the thread
     # count
-    VT = np.empty((P, K), dtype=v.dtype)
-    T = np.zeros((K, K))
-    theta = 0.0
-    for _ in range(max_iter):
-        V[0] = VT[:, 0] = v / np.linalg.norm(v)
-        T[:] = 0.0
-        for j in range(K):
-            w = gram(V[j])
-            # V[:j + 1].conj() @ w would copy the basis on every step
-            h = np.conj(V[:j + 1] @ np.conj(w))
-            w -= VT[:, :j + 1] @ h
+    VT = np.empty((P, P), dtype=v.dtype)
+    T = np.zeros((P, P))
+    V[0] = VT[:, 0] = v / np.linalg.norm(v)
+    for j in range(P):
+        w = gram(V[j])
+        # V[:j + 1].conj() @ w would copy the basis on every step
+        h = np.conj(V[:j + 1] @ np.conj(w))
+        w -= VT[:, :j + 1] @ h
+        beta_j = np.linalg.norm(w)
+        if beta_j < 0.7 * np.linalg.norm(h):
+            h2 = np.conj(V[:j + 1] @ np.conj(w))
+            w -= VT[:, :j + 1] @ h2
+            h += h2
             beta_j = np.linalg.norm(w)
-            if beta_j < 0.7 * np.linalg.norm(h):
-                h2 = np.conj(V[:j + 1] @ np.conj(w))
-                w -= VT[:, :j + 1] @ h2
-                h += h2
-                beta_j = np.linalg.norm(w)
-            T[j, j] = h[j].real
-            if j + 1 in _LANCZOS_TESTS or j + 1 == K or beta_j == 0.0:
-                ritz, Y = np.linalg.eigh(T[:j + 1, :j + 1])
-                theta, y = float(ritz[-1]), Y[:, -1]
-                if beta_j * abs(y[-1]) <= 1e-12 * theta or beta_j == 0.0:
-                    return theta, True
-            if j + 1 < K:
-                T[j, j + 1] = T[j + 1, j] = beta_j
-                V[j + 1] = VT[:, j + 1] = w / beta_j
-        v = VT @ y
-    return theta, False
+        T[j, j] = h[j].real
+        last = j + 1 == P or beta_j == 0.0
+        if last or j + 1 in _LANCZOS_TESTS or (j + 1) % 8 == 0:
+            ritz, Y = np.linalg.eigh(T[:j + 1, :j + 1])
+            theta = float(ritz[-1])
+            if last or beta_j * abs(Y[-1, -1]) <= 1e-12 * theta:
+                return theta
+        T[j, j + 1] = T[j + 1, j] = beta_j
+        V[j + 1] = VT[:, j + 1] = w / beta_j
 
 
-def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 300) -> float:
+def _classical_norm(m: MultiplierSpec, s: float, N: int) -> float:
     """Largest singular value of the classical Sobolev multiplication
     operator on the box modes with |xi| <= sqrt(2N+1), the Hermite
     truncation's own phase-space radius.
@@ -557,13 +531,10 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 300) ->
     grows (Boettcher and Silbermann, Introduction to Large Truncated
     Toeplitz Matrices, 1999).  P = 32N only sets the accuracy of mhat.
 
-    The norm is the square root of the top eigenvalue of B^H B, from
-    restarted Lanczos (``_lanczos_top``, relative residual 1e-12) with two
-    dense matvecs per Gram product, from a start vector drawn with a fixed
-    seed, so results are byte-deterministic.  ``max_iter`` caps the
-    restarts; a cycle is at most 64 Gram products.  When Lanczos does not
-    converge, a ConvergenceWarning is raised and the lower bound from the
-    largest Ritz value is returned.
+    The norm is the square root of the top eigenvalue of B^H B, from one
+    Lanczos cycle (``_lanczos_top``, relative residual 1e-12, at most 2K+1
+    steps) with two dense matvecs per Gram product, from a start vector
+    drawn with a fixed seed, so results are byte-deterministic.
     """
     mhat, scale, L = _classical_samples(m, N)
     K = int(2.0 * L * math.sqrt(2.0 * N + 1.0) / math.pi)
@@ -577,16 +548,11 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int, max_iter: int = 300) ->
     BH = np.ascontiguousarray(B.conj().T)
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(D.size) + 1j * rng.standard_normal(D.size)
-    lam, converged = _lanczos_top(lambda u: BH @ (B @ u), v, max_iter)
-    norm = math.sqrt(max(lam, 0.0)) * scale
-    if not converged:
-        warnings.warn(f"classical-side Lanczos did not converge within {max_iter} restarts "
-                      f"at N={N}; returning the lower bound {norm:.6e}", ConvergenceWarning)
-    return norm
+    return math.sqrt(max(_lanczos_top(lambda u: BH @ (B @ u), v), 0.0)) * scale
 
 
 def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
-                            thresholds: GrowthThresholds) -> GrowthReport:
+                            threshold: float) -> GrowthReport:
     """Contrast probe: the same multiplication operator measured against the
     flat Fourier weights (1+|xi|^2)^{s/2} on a periodized box (1D only).  Each
     norm (``_classical_norm``) is that of the finite Toeplitz section of m on
@@ -604,7 +570,7 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     N_list = _truncation_ladder(N_list)
     vals = tuple(_classical_norm(m, s, N) for N in N_list)
     return GrowthReport(m.label, "classical", s, N_list, vals,
-                        *_growth_ratios(vals), classify_growth(vals, thresholds))
+                        *_growth_ratios(vals), classify_growth(vals, threshold))
 
 
 def _edge_mask(grid2n: QuadratureGrid) -> np.ndarray:

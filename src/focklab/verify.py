@@ -45,7 +45,6 @@ from .hermite import (
 )
 from .multipliers import MultiplierSpec, bump, chirp43, constant, modulation, signum
 from .operators import (
-    GrowthThresholds,
     apply_integral_operator,
     boundedness_probe,
     classical_sobolev_probe,
@@ -98,14 +97,14 @@ __all__ = ["VerifyContext", "CHECKS", "CHECK_IDS", "TOLERANCES", "run_suite"]
 class VerifyContext:
     seed: int = 2718
     tol_overrides: dict[str, float] = field(default_factory=dict)
-    growth: GrowthThresholds | None = None
+    growth: float | None = None
 
     def tol(self, key: str) -> float:
         default = TOLERANCES[key]  # KeyError on an undeclared key
         return self.tol_overrides.get(key, default)
 
-    def thresholds(self) -> GrowthThresholds:
-        """The calibrated growth thresholds, loaded on first use."""
+    def threshold(self) -> float:
+        """The calibrated growth threshold, loaded on first use."""
         if self.growth is None:
             self.growth = load_calibration()
         return self.growth
@@ -399,7 +398,7 @@ def check_localization_interval(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Exact range of ||f||_loc / ||f||_s: each cell's re-projected piece is
     P diag(lw eta_m) B^T c, from the tables ``localization_norm`` uses.  At
     s = 1 both ends must be stable in N, at s = 0 inside the overlap bounds."""
-    th = ctx.thresholds()
+    th = ctx.threshold()
     bmp = PartitionBump()
     smin, smax = bmp.squared_sum_range()
     ext: dict[str, dict[str, list[float]]] = {"s=0": {}, "s=1": {}}
@@ -422,7 +421,7 @@ def check_localization_interval(ctx: VerifyContext, cid: str) -> ReportRecord:
     ok &= all(math.sqrt(smin) - 1e-6 <= lo and hi <= math.sqrt(smax) + 1e-6
               for lo, hi in ext["s=0"].values())
     return _record(cid, ok, {"extremes": ext, "route_defect": route}, None,
-                   bounds_s0=[math.sqrt(smin), math.sqrt(smax)], S=th.S)
+                   bounds_s0=[math.sqrt(smin), math.sqrt(smax)], threshold=th)
 
 
 @check("spaces.fock-equivalence", tol=1e-10)
@@ -465,7 +464,7 @@ def check_fock_equivalence(ctx: VerifyContext, cid: str) -> ReportRecord:
 def check_potential_bound(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Ground-state moment, and the exact top of ``potential_bound_probe``,
     the norm of c -> sqrt(w) |x|^{2s} B^T H^{-s} c on its grid: stable in N."""
-    th = ctx.thresholds()
+    th = ctx.threshold()
     v0 = SpectralVector.unit(1, 8, Convention.BARGMANN_H, 0)
     worst = abs(potential_bound_probe(v0, 1.0) - math.sqrt(3) / 4)
     tol = ctx.tol(cid)
@@ -485,7 +484,7 @@ def check_potential_bound(ctx: VerifyContext, cid: str) -> ReportRecord:
     ok &= route <= _ROUTE_REL
     ok &= all(classify_growth(vals, th) == "stable" for vals in tops.values())
     return _record(cid, ok, {"ground_state_defect": worst, "top_by_N": tops,
-                             "route_defect": route}, tol, S=th.S)
+                             "route_defect": route}, tol, threshold=th)
 
 
 # -------------------------------------------------------------- transforms
@@ -564,7 +563,7 @@ def check_weyl(ctx: VerifyContext, cid: str) -> ReportRecord:
     shift bound ||W_a v||_s <= C (1+|a|)^s ||v||_s: the exact C, the top of
     D^{s/2} W_a D^{-s/2} over (1+|a|)^s, is reported, not fitted, and must
     be stable in N; at s = 0 the section of a unitary has norm <= 1."""
-    th = ctx.thresholds()
+    th = ctx.threshold()
     tol = ctx.tol(cid)
     a = 0.5 + 0.4j
     N = 12
@@ -603,7 +602,7 @@ def check_weyl(ctx: VerifyContext, cid: str) -> ReportRecord:
             consts[f"s={s:g},|a|={aa:g}"] = vals
     ok &= route <= _ROUTE_REL
     return _record(cid, ok, {"entry_defect": worst, "C": max(map(max, consts.values())),
-                             "C_by_N": consts, "route_defect": route}, tol, S=th.S)
+                             "C_by_N": consts, "route_defect": route}, tol, threshold=th)
 
 
 @check("transforms.conjugation", tol=1e-6, sub={"floor": 1e-10})
@@ -901,7 +900,7 @@ def check_multiplier_matrix(ctx: VerifyContext, cid: str) -> ReportRecord:
 def check_probes(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Boundedness contrast at first-order smoothness: flat vs oscillator
     weights classify the registry multipliers differently."""
-    th = ctx.thresholds()
+    th = ctx.threshold()
     Ns = (8, 16, 32, 64)
     reports = {
         "constant": boundedness_probe(constant(1.0), 1.0, Ns, th),
@@ -913,12 +912,11 @@ def check_probes(ctx: VerifyContext, cid: str) -> ReportRecord:
             "chirp43-classical": "growing"}
     ok = all(reports[k].classification == want[k] for k in want)
     ok &= abs(reports["constant"].values[0] - 1.0) <= 1e-8
-    ok &= reports["signum"].last_first > th.G
     # scaling invariance: norms are linear in the multiplier
     half = boundedness_probe(constant(0.5), 1.0, (8, 16), th)
     ok &= all(abs(v - 0.5) <= 1e-8 for v in half.values)
     return _record(cid, ok, {k: r.as_dict() for k, r in reports.items()}, None,
-                   thresholds={"G": th.G, "S": th.S})
+                   threshold=th)
 
 
 CHECK_IDS = [cid for cid, _, _ in CHECKS]

@@ -525,7 +525,7 @@ def test_calibration_env_override(tmp_path, monkeypatch):
     dst = tmp_path / "cal.txt"
     shutil.copy(src, dst)
     monkeypatch.setenv("FOCKLAB_CALIBRATION", str(dst))
-    assert load_calibration().G > 1.0
+    assert load_calibration() > 1.0
     monkeypatch.setenv("FOCKLAB_CALIBRATION", str(tmp_path / "missing.txt"))
     with pytest.raises(CalibrationError):
         load_calibration()
@@ -536,10 +536,13 @@ def test_calibration_env_override(tmp_path, monkeypatch):
     "ladder.k2.hi = 5.145335518279746",
     "signum.entry01.tol = 0.031113486114157318",
     "seed = 2718",
+    "growth.G = 1.1112418160375572",
+    "growth.S = 1.1112418160375572",
 ], ids=lambda line: line.split(" = ")[0])
 def test_stale_calibration_key_fails_loudly(tmp_path, monkeypatch, line):
-    # a file from before the exact norm-ratio and ladder bounds still carries
-    # weyl.C, the ladder intervals, the signum tolerance or the draw seed
+    # a file from before the exact norm-ratio and ladder bounds and the single
+    # growth threshold still carries weyl.C, the ladder intervals, the signum
+    # tolerance, the draw seed or the two equal thresholds G and S
     from focklab.calibration import default_calibration_path, load_calibration
     from focklab.errors import CalibrationError
 
@@ -549,3 +552,17 @@ def test_stale_calibration_key_fails_loudly(tmp_path, monkeypatch, line):
     with pytest.raises(CalibrationError, match=re.escape(repr(line.split(" = ")[0]))):
         load_calibration()
     assert run_cli("verify", "--only", "transforms.weyl", "--out", str(tmp_path / "r.json")) == 1
+
+
+def test_two_threshold_calibration_file_is_refused(tmp_path, monkeypatch):
+    # the last file with growth.G and growth.S, and no growth.threshold
+    from focklab.calibration import load_calibration
+    from focklab.errors import CalibrationError
+
+    dst = tmp_path / "cal.txt"
+    dst.write_text("schema = focklab-calibration/1\n"
+                   "growth.G = 1.1112418160375572\n"
+                   "growth.S = 1.1112418160375572\n")
+    monkeypatch.setenv("FOCKLAB_CALIBRATION", str(dst))
+    with pytest.raises(CalibrationError, match="'growth.G'"):
+        load_calibration()

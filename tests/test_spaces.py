@@ -38,7 +38,8 @@ class TestSobolevNorm:
             assert sobolev_norm(v, s) == pytest.approx((2 * k + 1) ** (s / 2), rel=1e-14)
 
     def test_s_zero_is_l2(self):
-        v = random_vector(1, 12, Convention.PAPER_H, 9, normalize=False)
+        v = random_vector(1, 12, Convention.PAPER_H, 9)
+        v = v.with_coeffs(2.5 * v.coeffs)
         assert sobolev_norm(v, 0.0) == pytest.approx(v.norm(), rel=1e-14)
 
     def test_two_term_example(self):
@@ -128,7 +129,8 @@ class TestSquareFunction:
     def test_ratio_is_constant_exactly(self):
         c = smoothing_constant(1.0, 1)
         for seed in range(5):
-            v = random_vector(1, 12, Convention.PAPER_H, seed, normalize=False)
+            v = random_vector(1, 12, Convention.PAPER_H, seed)
+            v = v.with_coeffs(2.5 * v.coeffs)
             assert square_function_norm(v, 1.0, 1) \
                 == pytest.approx(c * sobolev_norm(v, 1.0), rel=1e-14)
 
