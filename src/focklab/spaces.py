@@ -1,7 +1,8 @@
 """Fractional smoothness norms, heat semigroup, square function and
 localization machinery for truncated Hermite/Fock coefficient vectors.
 
-Everything diagonal lives on the eigenvalue array lam_alpha = 2|alpha| + n.
+Everything diagonal lives on the eigenvalue array lam_alpha = 2|alpha| + n,
+the radially weighted ``weighted_fock_norm`` included.
 The square-function constant c_{s,K} has two routes that share no code: a
 closed Gamma-function sum (``smoothing_constant``) and a fixed composite
 Gauss-Legendre rule over the semigroup parameter after t = e^v
@@ -24,13 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyWarning, DivergenceError, GridMismatchError
+from .errors import AccuracyWarning, DivergenceError
 from .hermite import (
     Convention,
-    QuadratureGrid,
     SpectralVector,
     basis_table,
     gauss_hermite,
+    hermite_axis_table,
     index_array,
     synthesize,
 )
@@ -91,36 +92,9 @@ def heat_semigroup(v: SpectralVector, t: float) -> SpectralVector:
 def heat_kernel_value(N: int, t: float, x, y) -> float:
     """Truncated heat kernel  Sigma_k exp(-t^2 lam_k) h_k(x) h_k(y)  in 1D,
     in the paper-h system."""
-    from .hermite import hermite_axis_table
-
     tx = hermite_axis_table(N, np.asarray(x, dtype=float), Convention.PAPER_H)
     ty = hermite_axis_table(N, np.asarray(y, dtype=float), Convention.PAPER_H)
-    lam = 2 * np.arange(N + 1) + 1
-    return float(np.sum(np.exp(-t * t * lam) * tx * ty))
-
-
-def weighted_fock_norm(v: SpectralVector, s: float, grid2n: QuadratureGrid) -> float:
-    """Weighted-Fock realization of the fractional norm.
-
-    Quadrature of [ w_{n,s} Int (1+|z|)^{2s} |f(z)|^2 e^{-|z|^2} dz ]^(1/2)
-    over C^n = R^{2n}, with the normalizer w_{n,s} calibrated at runtime so
-    the constant function 1 has norm 1.  Equivalent (not equal) to
-    ``sobolev_norm``; the ratio is the object the equivalence probes bound.
-    """
-    if v.convention is not Convention.FOCK:
-        raise ValueError("weighted Fock norm is defined for fock-tagged vectors")
-    if grid2n.dim != 2 * v.dim:
-        raise GridMismatchError(
-            f"need a {2 * v.dim}-dim grid for n={v.dim}, got dim {grid2n.dim}")
-    if grid2n.scale != 1.0:
-        raise GridMismatchError("weighted Fock norm needs a scale-1 grid")
-    z = grid2n.complex_nodes()
-    vals = synthesize(v, z if v.dim > 1 else z[:, 0])
-    r = np.sqrt(np.sum(np.abs(z) ** 2, axis=1))
-    wts = grid2n.weights * (1.0 + r) ** (2 * s)
-    raw = float(np.sum(wts * np.abs(vals) ** 2))
-    normalizer = float(np.sum(wts))  # same integral with f == 1
-    return math.sqrt(raw / normalizer)
+    return float(np.sum(np.exp(-t * t * eigenvalues(1, N)) * tx * ty))
 
 
 @lru_cache(maxsize=None)
@@ -155,8 +129,8 @@ def smoothing_constant(s: float, K: int) -> float:
 @lru_cache(maxsize=None)
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     """Each panel's 24-node Gauss-Legendre rule on [-1, 1], built on first
-    use: only the square-function routes load numpy.polynomial.  Read-only,
-    as every caller shares it."""
+    use: only the square-function routes and the weighted Fock norm load
+    numpy.polynomial.  Read-only, as every caller shares it."""
     x, w = np.polynomial.legendre.leggauss(24)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -203,16 +177,14 @@ def square_function_norm(v: SpectralVector, s: float, K: int) -> float:
     is the weighted coefficient sum times the smoothing constant.  Requires
     0 < s < 2K.
     """
-    c = smoothing_constant(s, K)
-    lam = eigenvalues(v.dim, v.truncation)
-    return c * float(np.sqrt(np.sum(lam ** s * np.abs(v.coeffs) ** 2)))
+    return smoothing_constant(s, K) * sobolev_norm(v, s)
 
 
 @lru_cache(maxsize=None)
-def _eigenvalue_integrals(s: float, K: int, n: int, N: int) -> np.ndarray:
-    """I(lam_alpha) in graded order, integrated once per distinct eigenvalue."""
+def _eigenvalue_table(rule, n: int, N: int, *args) -> np.ndarray:
+    """rule(lam, *args) in graded order, once per distinct eigenvalue and key."""
     lam, inv = np.unique(eigenvalues(n, N), return_inverse=True)
-    table = _semigroup_integrals(lam, s, K)[inv]
+    table = rule(lam, *args)[inv]
     table.setflags(write=False)
     return table
 
@@ -223,7 +195,46 @@ def square_function_norm_direct(v: SpectralVector, s: float, K: int) -> float:
     The t-integrals are tabulated by quadrature once per (s, K, n, N); no
     closed form enters.  Requires 0 < s < 2K.
     """
-    table = _eigenvalue_integrals(s, K, v.dim, v.truncation)
+    table = _eigenvalue_table(_semigroup_integrals, v.dim, v.truncation, s, K)
+    return math.sqrt(float(np.sum(np.abs(v.coeffs) ** 2 * table)))
+
+
+def _radial_moments(lam: np.ndarray, s: float, n: int) -> np.ndarray:
+    """mu_k / mu_0 at each lam = 2k + n (ascending), where mu_k = (2 / Gamma(k+n))
+    Int_0^inf r^q (1+r)^{2s} e^{-r^2} dr, q = 2k + 2n - 1, by one rule for every k:
+    24-node Gauss-Legendre panels of width 2 from 0 past sqrt(2(k+n+s)) + 8.  The
+    integrand is formed in log space about the peak c of the density r^q e^{-r^2}
+    and divided by the rule's integral of that density, Gamma(k+n) / 2, so no Gamma
+    function enters and the density's rounding cancels.  Rows go 256 at a time."""
+    q = lam + (n - 1.0)
+    P = math.ceil(0.5 * math.sqrt(q[-1] + 1.0 + 2.0 * s) + 4.0)
+    x, w = _panel_rule()
+    r = ((2 * np.arange(P) + 1)[:, None] + x).ravel()
+    w = np.tile(w, P)
+    log_mu = np.empty(len(q))
+    for k in np.array_split(np.arange(len(q)), len(q) // 256 + 1):
+        c = np.sqrt(0.5 * q[k])[:, None]
+        d = r - c
+        density = q[k, None] * np.log1p(d / c) - d * (r + c)
+        weighted = density + 2.0 * s * np.log1p(d / (1.0 + c))
+        top = weighted.max(axis=1)
+        log_mu[k] = (np.log(np.exp(weighted - top[:, None]) @ w) + top
+                     + 2.0 * s * np.log1p(c[:, 0]) - np.log(np.exp(density) @ w))
+    return np.exp(log_mu - log_mu[0])
+
+
+def weighted_fock_norm(v: SpectralVector, s: float) -> float:
+    """[ Int (1+|z|)^{2s} |f|^2 e^{-|z|^2} dz / Int (1+|z|)^{2s} e^{-|z|^2} dz ]^(1/2)
+    over C^n, the weighted-Fock realization of the fractional norm.  The weight
+    is radial, so the monomials stay orthogonal and the norm is
+    [ Sigma |c_alpha|^2 mu_{|alpha|} / mu_0 ]^(1/2), exact in angle.  The radial
+    moments (``_radial_moments``) round in proportion to s, to 3.4e-13 relative at
+    s = 128 and N = 6000, so larger s is refused.  Equivalent, not equal, to ``sobolev_norm``."""
+    if v.convention is not Convention.FOCK:
+        raise ValueError("weighted Fock norm is defined for fock-tagged vectors")
+    if not 0.0 <= s <= 128.0:
+        raise ValueError(f"weighted Fock norm needs 0 <= s <= 128 (its 1e-12 range), got {s}")
+    table = _eigenvalue_table(_radial_moments, v.dim, v.truncation, s, v.dim)
     return math.sqrt(float(np.sum(np.abs(v.coeffs) ** 2 * table)))
 
 

@@ -32,7 +32,10 @@ from .hermite import (
     index_array,
     index_count,
     ladder,
+    project,
+    synthesize,
 )
+from .spaces import eigenvalues
 
 __all__ = [
     "OperatorMatrix",
@@ -309,7 +312,6 @@ def leibniz_check(f: SpectralVector, g: SpectralVector, axis: int = 1,
     N = max(f.truncation, g.truncation)
     T = projection_truncation or 2 * N
     grid = gauss_hermite(T + 32, 1.0, n)
-    from .hermite import project, synthesize
 
     def proj(fun):
         return project(fun, T, grid, Convention.PAPER_H)
@@ -335,8 +337,6 @@ def fractional_shift_defect(v: SpectralVector, sigma: float, axis: int = 1,
     """Coefficient-level spot check of the shift calculus: applying the
     ladder then the fractional weight lambda^sigma equals applying the
     (lambda +- 2)^sigma weight then the ladder (+2 lowering, -2 raising)."""
-    from .spaces import eigenvalues
-
     lam = eigenvalues(v.dim, v.truncation)
     lhs = ladder(v.with_coeffs(v.coeffs * lam ** sigma), direction, axis)
     shift = 2.0 if direction == "lower" else -2.0

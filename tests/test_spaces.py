@@ -7,12 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from focklab.errors import DivergenceError, GridMismatchError
-from focklab.hermite import Convention, SpectralVector, index_array, random_vector
+from focklab.errors import DivergenceError
+from focklab.hermite import (
+    Convention,
+    SpectralVector,
+    gauss_hermite,
+    index_array,
+    random_vector,
+    synthesize,
+)
 from focklab.spaces import (
     PartitionBump,
-    _eigenvalue_integrals,
+    _eigenvalue_table,
     _localization_tables,
+    _semigroup_integrals,
     _smooth_step,
     eigenvalues,
     fractional_H,
@@ -197,33 +205,73 @@ class TestSquareFunction:
         # lam runs up to 513 at N = 256, so lam^s spans up to 87 decades; every
         # entry, the lam = 1 one included, must be accurate relative to itself
         lam = eigenvalues(1, 256)
-        table = _eigenvalue_integrals(s, K, 1, 256)
+        table = _eigenvalue_table(_semigroup_integrals, 1, 256, s, K)
         np.testing.assert_allclose(table, lam ** s * smoothing_constant(s, K) ** 2,
                                    rtol=1e-13, atol=0)
 
 
+def _radial_moment_ratios(s, n, K):
+    """mu_k / mu_0 for k = 0..K in closed form, 2s = m in N:
+    mu_k = Sigma_j C(m, j) Gamma(k+n+j/2) / Gamma(k+n), the rising factorials."""
+    m = round(2 * s)
+    mu = [mp.fsum(mp.binomial(m, j) * mp.rf(k + n, mp.mpf(j) / 2) for j in range(m + 1))
+          for k in range(K + 1)]
+    return [float(x / mu[0]) for x in mu]
+
+
 class TestWeightedFockNorm:
-    def test_constant_is_one(self, grid_c):
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 64), (3, 64), (1, 248)])
+    def test_monomials_match_the_radial_moments(self, n, N, s):
+        # ||e_alpha||^2 = mu_|alpha| / mu_0, one alpha of each degree
+        want = _radial_moment_ratios(s, n, N)
+        degree = index_array(n, N).sum(axis=1)
+        for k in range(N + 1):
+            alpha = tuple(index_array(n, N)[np.searchsorted(degree, k)])
+            e = SpectralVector.unit(n, N, Convention.FOCK, alpha if n > 1 else k)
+            assert weighted_fock_norm(e, s) ** 2 == pytest.approx(want[k], rel=1e-12, abs=0)
+
+    def test_equal_degrees_have_equal_norms(self):
+        n, N = 3, 8
+        degree = index_array(n, N).sum(axis=1)
+        for s in (0.5, 2.5):
+            norms = np.array([weighted_fock_norm(SpectralVector.unit(n, N, Convention.FOCK,
+                                                                     tuple(a)), s)
+                              for a in index_array(n, N)])
+            for k in range(N + 1):
+                assert np.all(norms[degree == k] == norms[degree == k][0])
+
+    def test_n2_matches_the_defining_integral(self):
+        # an independent route: a 4-D Gauss-Hermite rule for both integrals
+        # over C^2; it resolves the cone of (1+|z|)^{2s} at 0 only to 3.6e-5
+        g = gauss_hermite(20, 1.0, 4)
+        z = g.complex_nodes()
+        wts = g.weights * (1.0 + np.sqrt(np.sum(np.abs(z) ** 2, axis=1))) ** 2
+        v = random_vector(2, 3, Convention.FOCK, 7)
+        want = math.sqrt(np.sum(wts * np.abs(synthesize(v, z)) ** 2) / np.sum(wts))
+        assert weighted_fock_norm(v, 1.0) == pytest.approx(want, rel=3e-4)
+
+    def test_constant_is_one(self):
         one = SpectralVector.unit(1, 6, Convention.FOCK, 0)
         for s in (0.0, 1.0, 2.5):
-            assert weighted_fock_norm(one, s, grid_c) == pytest.approx(1.0, abs=1e-12)
+            assert weighted_fock_norm(one, s) == pytest.approx(1.0, abs=1e-12)
 
-    def test_s_zero_matches_l2(self, grid_c):
+    def test_s_zero_matches_l2(self):
         v = random_vector(1, 8, Convention.FOCK, 6)
-        assert weighted_fock_norm(v, 0.0, grid_c) == pytest.approx(sobolev_norm(v, 0.0),
-                                                                   rel=1e-9)
+        assert weighted_fock_norm(v, 0.0) == pytest.approx(sobolev_norm(v, 0.0), rel=1e-9)
 
-    def test_ratio_stable_in_truncation(self, grid_c):
+    def test_ratio_stable_in_truncation(self):
         ratios = []
         for N in (4, 8, 12):
             v = SpectralVector.unit(1, N, Convention.FOCK, 1)
-            ratios.append(weighted_fock_norm(v, 1.0, grid_c) / sobolev_norm(v, 1.0))
+            ratios.append(weighted_fock_norm(v, 1.0) / sobolev_norm(v, 1.0))
         assert max(ratios) / min(ratios) <= 1 + 1e-10  # e_1 is N-independent
 
-    def test_dimension_mismatch_rejected(self, grid2):
+    @pytest.mark.parametrize("s", [-0.5, -1e-300, math.nan, math.inf, 128.5])
+    def test_order_outside_the_range_rejected(self, s):
         v = random_vector(1, 4, Convention.FOCK, 0)
-        with pytest.raises(GridMismatchError):
-            weighted_fock_norm(v, 0.0, grid2)
+        with pytest.raises(ValueError, match="0 <= s <= 128"):
+            weighted_fock_norm(v, s)
 
 
 class TestPartitionBump:

@@ -1,10 +1,11 @@
-"""The verify checks that bound a norm ratio by its exact extremes, and the
-warnings verify records.
+"""The verify checks that bound a norm ratio by its exact extremes, the
+warnings verify records, and the tolerance defaults, which may not loosen.
 
 Each reference below builds the ratio's quadratic form by polarization,
 O(K^2) calls of the public function on sums of unit vectors, independently
 of the form matrix the check assembles from the function's tables; the
-ladder seminorm's diagonal form is checked against its closed forms.
+ladder seminorm's and the Fock equivalence's diagonal forms are checked
+against their closed forms.
 """
 import json
 import math
@@ -12,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from focklab.hermite import Convention, SpectralVector, gauss_hermite
+from focklab import spaces
+from focklab.hermite import Convention, SpectralVector
 from focklab.reporting import emit_json, strip_timing
 from focklab.spaces import (
     PartitionBump,
@@ -23,7 +25,7 @@ from focklab.spaces import (
     weighted_fock_norm,
 )
 from focklab.transforms import weyl_matrix
-from focklab.verify import _LADDER, VerifyContext, run_suite
+from focklab.verify import _LADDER, TOLERANCES, VerifyContext, run_suite
 
 N = 8
 EXTREMAL = ("spaces.localization-interval", "spaces.fock-equivalence",
@@ -70,10 +72,8 @@ def test_localization_extremes_match_polarization(s):
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
 def test_fock_equivalence_extremes_match_polarization(s):
-    grid4 = gauss_hermite(48, 1.0, 2)
-
     def q(c):
-        return weighted_fock_norm(SpectralVector(1, N, Convention.FOCK, c), s, grid4) ** 2
+        return weighted_fock_norm(SpectralVector(1, N, Convention.FOCK, c), s) ** 2
 
     got = _measured("spaces.fock-equivalence")["extremes"][f"s={s:g}"][str(N)]
     assert np.allclose(_ratio_extremes(q, s), got, rtol=1e-12, atol=0)
@@ -103,20 +103,43 @@ def test_weyl_constant_matches_polarization(s, a_abs):
     assert top / (1 + a_abs) ** s == pytest.approx(got, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("s", [0.5, 1.0])
-def test_fock_equivalence_floor_is_the_monomial_limit(s):
-    # the radial weight makes the form diagonal in monomials, with
-    # R_k^2 = m_k / (m_0 (2k+1)^s) and m_k from Gamma(k + 3/2) / Gamma(k + 1)
-    rec, = run_suite(VerifyContext(), only="spaces.fock-equivalence")
-    floor = rec.inputs["floor"][f"s={s:g}"]
-
+# the radial weight makes the form diagonal in monomials, with
+# R_k^2 = m_k / (m_0 (2k+1)^s) and m_k from Gamma(k + 3/2) / Gamma(k + 1)
+def _fock_ratio(s, k):
     def m(k):
         g = math.exp(math.lgamma(k + 1.5) - math.lgamma(k + 1))
         return 1 + g if s == 0.5 else k + 2 + 2 * g
 
-    R = [math.sqrt(m(k) / (m(0) * (2 * k + 1) ** s)) for k in (0, 1, 10, 1000, 100000)]
+    return math.sqrt(m(k) / (m(0) * (2 * k + 1) ** s)) if s else 1.0
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_fock_equivalence_floor_is_the_monomial_limit(s):
+    rec, = run_suite(VerifyContext(), only="spaces.fock-equivalence")
+    floor = rec.inputs["floor"][f"s={s:g}"]
+    R = [_fock_ratio(s, k) for k in (0, 1, 10, 1000, 100000)]
     assert R[0] == 1.0 and R == sorted(R, reverse=True)
     assert floor < R[-1] < floor * (1 + 1e-2)
+
+
+def test_fock_equivalence_extremes_are_the_closed_forms():
+    # on 0..N the top is R_0 = 1, at e_0, and the bottom R_N
+    ext = _measured("spaces.fock-equivalence")["extremes"]
+    for s in (0.0, 0.5, 1.0):
+        assert list(ext[f"s={s:g}"]) == [str(N) for N in _LADDER]
+        for N in _LADDER:
+            want = [_fock_ratio(s, N), 1.0]
+            assert ext[f"s={s:g}"][str(N)] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_fock_equivalence_sees_a_wrong_radial_rule(monkeypatch):
+    # the closed-form route shares no code with the radial rule, so a rule
+    # that is off by 1e-12 per degree fails the check
+    rule = spaces._radial_moments
+    monkeypatch.setattr(spaces, "_radial_moments",
+                        lambda lam, s, n: rule(lam, s, n) * (1 + 1e-12 * lam))
+    rec, = run_suite(VerifyContext(), only="spaces.fock-equivalence")
+    assert rec.status == "fail" and rec.measured["route_defect"] > 1e-13
 
 
 def test_ladder_seminorm_extremes_are_the_closed_forms():
@@ -151,3 +174,53 @@ def test_records_carry_their_warnings():
     ]}
     doc = json.loads(emit_json(recs, {}, ""))
     assert [r["warnings"] for r in doc["records"]] == [r.warnings for r in recs]
+
+
+# Every tolerance default as it stands.  A default may tighten freely; loosening
+# one needs a visible edit of this table, logged in CHANGES.md.
+PINNED = {
+    "hermite.quadrature-moments": 1e-12,
+    "hermite.orthonormality": 1e-12,
+    "hermite.recurrence-values": 1e-13,
+    "hermite.differential-consistency": 1e-08,
+    "hermite.ladder-composition": 1e-13,
+    "hermite.projection-roundtrip": 1e-12,
+    "hermite.projection-ladder-example": 1e-12,
+    "hermite.convention-roundtrip": 1e-13,
+    "spaces.fractional-inverse": 1e-13,
+    "spaces.heat-semigroup": 1e-13,
+    "spaces.square-function": 1e-13,
+    "spaces.kappa": 1e-13,
+    "spaces.kappa.contraction": 1e-10,
+    "spaces.partition-sum": 1e-13,
+    "spaces.fock-equivalence": 1e-13,
+    "spaces.potential-bound": 1e-13,
+    "transforms.bargmann-calibration": 1e-12,
+    "transforms.fourier-eigen": 1e-12,
+    "transforms.translation": 1e-12,
+    "transforms.translation.group-law": 1e-12,
+    "transforms.translation.unitarity": 0.0001,
+    "transforms.weyl": 1e-13,
+    "transforms.conjugation": 1e-11,
+    "transforms.conjugation.floor": 1e-10,
+    "transforms.translation-ladder": 1e-11,
+    "transforms.leibniz": 1e-08,
+    "transforms.leibniz.const": 1e-10,
+    "transforms.ladder-shift": 1e-12,
+    "operators.symbol-closed-forms": 1e-12,
+    "operators.symbol-roundtrip": 1e-09,
+    "operators.symbol-roundtrip.bump": 1e-05,
+    "operators.reproducing": 1e-12,
+    "operators.reproducing.linearity": 1e-13,
+    "operators.theorem-matrix": 1e-12,
+    "operators.modulation-weyl": 1e-12,
+    "operators.norm-identity": 0.05,
+    "operators.commutation": 1e-05,
+    "operators.norm-transport": 1e-11,
+    "operators.multiplier-matrix": 1e-12,
+}
+
+
+def test_tolerances_do_not_loosen():
+    assert set(TOLERANCES) == set(PINNED)
+    assert {k: v for k, v in TOLERANCES.items() if v > PINNED[k]} == {}
