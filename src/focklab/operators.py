@@ -307,52 +307,52 @@ def conjugated_multiplier_matrix(m: MultiplierSpec, N: int) -> OperatorMatrix:
     return OperatorMatrix(N, Mm.dim, ent, Convention.FOCK)
 
 
-def operator_norm(A: OperatorMatrix, s: float = 0.0, max_iter: int = 64) -> float:
+def _weighted_section(entries: np.ndarray, base: np.ndarray, s: float,
+                      N: int) -> tuple[np.ndarray, float]:
+    """(B / scale, scale) for the weighted section B = D A D^-1 with
+    D = diag(base^{s/2}), entry by entry A[j, k] (D_j / D_k), and scale its
+    power of two (exact), so that B^H B clears overflow and underflow.
+    Raises ``EvaluationRangeError`` when B is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        d = base ** (s / 2.0)
+        B = entries * (d[:, None] / d[None, :])
+    peak = np.abs(B).max()
+    if not np.isfinite(peak):
+        raise EvaluationRangeError(
+            f"the weighted section at s={s:g}, N={N} is not finite in double "
+            "precision; lower s or N")
+    scale = _binary_scale(peak)
+    return B * (1.0 / scale), scale   # 1/scale is a power of two: exact
+
+
+def _top_singular(B: np.ndarray, steps: int | None = None) -> tuple[float, bool]:
+    """(sigma, converged) for the top singular value of B by ``_lanczos_top``
+    on B^H B from ``_start_vector``, both probe sides' one norm routine."""
+    # in C order, like B: a product with the Fortran-order view B.conj().T
+    # rounds differently with the BLAS thread count
+    BH = np.conj(B.T, order="C")
+    theta, converged = _lanczos_top(lambda u: BH @ (B @ u), _start_vector(B.shape[1]), steps)
+    return math.sqrt(max(theta, 0.0)), converged
+
+
+def operator_norm(A: OperatorMatrix, s: float = 0.0, max_iter: int | None = None) -> float:
     """Largest singular value of B = D^{s/2} A D^{-s/2}, D = diag(2|alpha|+n),
-    by power iteration with repeated squaring on the Gram matrix G = B^H B,
-    from a deterministic seeded start, to a relative Rayleigh-quotient step
-    of 1e-13.
+    by ``_top_singular`` on ``_weighted_section``, as on the classical side.
 
-    Step k applies P = G^(2^k) to the iterate, takes the Rayleigh quotient
-    of G at the normalized result, then squares P (renormalized by its
-    largest entry).  After k steps the iterate is G^(2^k - 1) v0, so a top
-    cluster with relative gap g separates in about log2(1/g) steps.
-    ``max_iter`` caps the steps, each one n^3 product; the default 64 reaches
-    G^(2^64), which separates any gap above rounding.  A enters divided by
-    its power-of-two scale (exact), so that neither the weights nor G
-    overflow or underflow, and the norm is scaled back.
-
-    Non-convergence is reported as a warning carrying the Rayleigh bracket.
+    ``max_iter`` caps the Lanczos steps.  By default the cycle may run to
+    the matrix size, where its basis spans the space and the value is exact
+    to rounding; a cycle the cap cuts short warns with the bracket
+    [sqrt(theta), ||B||_F].
     """
-    lam = eigenvalues(A.dim, A.truncation)
-    d = lam ** (s / 2.0)
-    scale = _binary_scale(A.entries)
-    B = (d[:, None] * (A.entries / scale)) / d[None, :]
-    G = B.conj().T @ B
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    P = G
-    prev = 0.0
-    for _ in range(max_iter):
-        y = P @ v
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        v = y / ny
-        ray = float(np.real(np.vdot(v, G @ v)))
-        if abs(ray - prev) <= 1e-13 * max(1.0, abs(ray)):
-            return math.sqrt(max(ray, 0.0)) * scale
-        prev = ray
-        P = P @ P
-        P /= np.abs(P).max()
-    lo = math.sqrt(max(prev, 0.0)) * scale
-    hi = math.sqrt(float(np.linalg.norm(G, ord=np.inf))) * scale
-    warnings.warn(
-        f"power iteration did not reach tol=1e-13 in {max_iter} iterations; "
-        f"Rayleigh bracket [{lo:.6e}, {hi:.6e}]",
-        ConvergenceWarning)
-    return lo
+    B, scale = _weighted_section(A.entries, eigenvalues(A.dim, A.truncation), s,
+                                 A.truncation)
+    norm, converged = _top_singular(B, max_iter)
+    if not converged:
+        warnings.warn(
+            f"Lanczos did not reach its residual 1e-12 in {max_iter} steps; bracket "
+            f"[{norm * scale:.6e}, {math.sqrt(np.vdot(B, B).real) * scale:.6e}]",
+            ConvergenceWarning)
+    return norm * scale
 
 
 @dataclass(frozen=True)
@@ -461,62 +461,76 @@ def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, fl
     return spec / P, scale, L
 
 
-def _sobolev_weights(k: np.ndarray, s: float, L: float) -> np.ndarray:
-    """Fourier weights D = (1+|xi|^2)^{s/2} at integer frequencies k on the
-    box [-L, L), xi = pi k / (2L) matching the e^{-2ixy} pairing."""
-    return (1.0 + (math.pi * np.abs(k) / (2.0 * L)) ** 2) ** (s / 2.0)
-
-
 # Lanczos tests for convergence only after steps 1, 2, 4, 6, 12, every
 # multiple of 8 and the last: a 24 x 24 eigh costs about one Gram product at
 # N = 64, so the tests thin out as j grows.
 _LANCZOS_TESTS = frozenset((1, 2, 4, 6, 12))
 
 
-def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> float:
-    """The top eigenvalue of the Hermitian positive semidefinite operator
-    ``gram`` on C^P, P = ``v.size``, by one Lanczos cycle with full
+def _start_vector(P: int) -> np.ndarray:
+    """The fixed Lanczos start (frac(k sqrt2) - 1/2) + i (frac(k sqrt3) - 1/2),
+    k = 1..P: two Kronecker sequences, with no zero entry and no seed."""
+    k = np.arange(1, P + 1)
+    return (np.modf(k * math.sqrt(2.0))[0] - 0.5) + 1j * (np.modf(k * math.sqrt(3.0))[0] - 0.5)
+
+
+def _lanczos_top(gram: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
+                 steps: int | None = None) -> tuple[float, bool]:
+    """(theta, converged): the top eigenvalue of the Hermitian positive
+    semidefinite operator ``gram`` on C^P, P = ``v.size``, by one Lanczos
+    cycle of at most ``steps`` (default P) steps with full
     reorthogonalization from the start vector ``v``.
 
-    The basis V is stored row-wise, and the tridiagonal matrix is filled in
-    place.  Each step projects the new vector against all of V by one
-    classical Gram-Schmidt pass, and by a second only when the remainder
-    falls below 0.7 times the projection (the DGKS test).  The cycle stops
-    when the top Ritz pair (theta, y) of the tridiagonal matrix has the
-    residual beta_j |y_last| <= 1e-12 theta (ARPACK's test; an exact
-    breakdown beta_j = 0, as for a zero operator, always passes).  It needs
-    no restart: after P steps the orthonormal basis spans C^P, so theta is
-    the top eigenvalue to rounding.
+    The basis is kept conjugated row-wise (Vc) and plain column-wise (VT),
+    so that projecting on it and combining it are one row-wise product each;
+    both hold min(P, 64) vectors at first and double when the cycle outgrows
+    them.  Each step projects by one classical Gram-Schmidt pass, and by a
+    second only when the remainder falls below 0.7 times the projection (the
+    DGKS test).  The cycle stops when the top Ritz pair (theta, y) of the
+    tridiagonal matrix has the residual beta_j |y_last| <= 1e-12 theta
+    (ARPACK's test; an exact breakdown beta_j = 0 always passes).  After P
+    steps the basis spans C^P, so theta is the top eigenvalue to rounding;
+    ``converged`` is False only when ``steps`` < P cut the cycle short.
     """
     P = v.size
-    V = np.empty((P, P), dtype=v.dtype)
-    # V's transposed copy turns every basis combination h @ V into the
-    # row-wise product VT @ h: OpenBLAS splits h @ V across threads for some
-    # shapes (P = 179 among them), so its rounding would follow the thread
-    # count
-    VT = np.empty((P, P), dtype=v.dtype)
-    T = np.zeros((P, P))
-    V[0] = VT[:, 0] = v / np.linalg.norm(v)
-    for j in range(P):
-        w = gram(V[j])
-        # V[:j + 1].conj() @ w would copy the basis on every step
-        h = np.conj(V[:j + 1] @ np.conj(w))
+    steps = P if steps is None else min(steps, P)
+    rows = min(P, 64)
+    Vc = np.empty((rows, P), dtype=v.dtype)
+    # VT turns every basis combination h @ V into the row-wise product
+    # VT @ h: OpenBLAS splits h @ V across threads for some shapes (P = 179
+    # among them), so its rounding would follow the thread count
+    VT = np.empty((P, rows), dtype=v.dtype)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    u = v / math.sqrt(np.vdot(v, v).real)
+    for j in range(steps):
+        np.conj(u, out=Vc[j])
+        VT[:, j] = u
+        w = gram(u)
+        h = Vc[:j + 1] @ w
         w -= VT[:, :j + 1] @ h
-        beta_j = np.linalg.norm(w)
-        if beta_j < 0.7 * np.linalg.norm(h):
-            h2 = np.conj(V[:j + 1] @ np.conj(w))
+        beta_j = math.sqrt(np.vdot(w, w).real)
+        if beta_j < 0.7 * math.sqrt(np.vdot(h, h).real):
+            h2 = Vc[:j + 1] @ w
             w -= VT[:, :j + 1] @ h2
             h += h2
-            beta_j = np.linalg.norm(w)
-        T[j, j] = h[j].real
-        last = j + 1 == P or beta_j == 0.0
+            beta_j = math.sqrt(np.vdot(w, w).real)
+        alpha[j] = h[j].real
+        last = j + 1 == steps or beta_j == 0.0
         if last or j + 1 in _LANCZOS_TESTS or (j + 1) % 8 == 0:
-            ritz, Y = np.linalg.eigh(T[:j + 1, :j + 1])
+            T = np.diag(alpha[:j + 1])
+            T.flat[j + 1::j + 2] = beta[:j]   # eigh reads only the lower triangle
+            ritz, Y = np.linalg.eigh(T)
             theta = float(ritz[-1])
-            if last or beta_j * abs(Y[-1, -1]) <= 1e-12 * theta:
-                return theta
-        T[j, j + 1] = T[j + 1, j] = beta_j
-        V[j + 1] = VT[:, j + 1] = w / beta_j
+            if beta_j * abs(Y[-1, -1]) <= 1e-12 * theta or beta_j == 0.0:
+                return theta, True
+            if last:
+                return theta, steps == P
+        beta[j] = beta_j
+        u = w / beta_j
+        if j + 1 == rows:
+            rows = min(2 * rows, P)
+            Vc = np.concatenate((Vc, np.empty((rows - j - 1, P), dtype=v.dtype)))
+            VT = np.concatenate((VT, np.empty((P, rows - j - 1), dtype=v.dtype)), axis=1)
 
 
 def _classical_norm(m: MultiplierSpec, s: float, N: int) -> float:
@@ -527,28 +541,22 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int) -> float:
     Those are the modes |k| <= K = floor(2L sqrt(2N+1) / pi) of the box
     [-L, L) of ``_classical_samples``, and the operator is the finite
     Toeplitz section B = D T D^-1, T[j, k] = mhat(j - k), with the Sobolev
-    weights D at |j|, |k| <= K.  At s = 0 its norm rises to sup|m| as N
+    weights D = (1 + xi^2)^{s/2} at |j|, |k| <= K, xi = pi k / (2L)
+    matching the e^{-2ixy} pairing.  At s = 0 its norm rises to sup|m| as N
     grows (Boettcher and Silbermann, Introduction to Large Truncated
     Toeplitz Matrices, 1999).  P = 32N only sets the accuracy of mhat.
 
-    The norm is the square root of the top eigenvalue of B^H B, from one
-    Lanczos cycle (``_lanczos_top``, relative residual 1e-12, at most 2K+1
-    steps) with two dense matvecs per Gram product, from a start vector
-    drawn with a fixed seed, so results are byte-deterministic.
+    The norm comes from ``_top_singular`` on ``_weighted_section``, as on
+    the Hermite side: one Lanczos cycle of at most 2K+1 steps.
     """
     mhat, scale, L = _classical_samples(m, N)
     K = int(2.0 * L * math.sqrt(2.0 * N + 1.0) / math.pi)
-    D = _sobolev_weights(np.arange(-K, K + 1), s, L)
     # row j of the window view over mhat(-2K..2K) starts at mhat(j - 2K), so
     # reversing its columns gives the Toeplitz section T[j, k] = mhat(j - k)
-    T = sliding_window_view(mhat[np.arange(-2 * K, 2 * K + 1) % mhat.size], D.size)[:, ::-1]
-    B = T * np.outer(D, 1.0 / D)
-    # in C order, like B: a product with the Fortran-order view B.conj().T
-    # rounds differently with the BLAS thread count
-    BH = np.ascontiguousarray(B.conj().T)
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(D.size) + 1j * rng.standard_normal(D.size)
-    return math.sqrt(max(_lanczos_top(lambda u: BH @ (B @ u), v), 0.0)) * scale
+    T = sliding_window_view(mhat[np.arange(-2 * K, 2 * K + 1) % mhat.size], 2 * K + 1)[:, ::-1]
+    xi = math.pi * np.arange(-K, K + 1) / (2.0 * L)
+    B, section_scale = _weighted_section(T, 1.0 + xi * xi, s, N)
+    return _top_singular(B)[0] * section_scale * scale
 
 
 def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],

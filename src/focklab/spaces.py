@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyWarning, DivergenceError
+from .errors import AccuracyWarning, DivergenceError, EvaluationRangeError
 from .hermite import (
     Convention,
     SpectralVector,
@@ -68,11 +68,29 @@ def sobolev_norm(v: SpectralVector, s: float) -> float:
     the Fock-side transform is the identity on coefficients, so the weighted
     sums coincide.  Negative s is excluded here (use ``fractional_H``
     directly for negative powers).
+
+    A zero coefficient contributes 0 even where lam^s overflows.  When the
+    squared sum overflows, the norm is taken again with the terms
+    lam^{s/2} |c_alpha| divided by their largest, and
+    ``EvaluationRangeError`` is raised when the norm itself exceeds double
+    precision.
     """
     if s < 0:
         raise ValueError(f"smoothness order must be >= 0, got {s}")
     lam = eigenvalues(v.dim, v.truncation)
-    return float(np.sqrt(np.sum(lam ** s * np.abs(v.coeffs) ** 2)))
+    zero = v.coeffs == 0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        total = np.sum(np.where(zero, 0.0, lam ** s * np.abs(v.coeffs) ** 2))
+        if np.isfinite(total):
+            return float(np.sqrt(total))
+        terms = np.where(zero, 0.0, lam ** (s / 2.0) * np.abs(v.coeffs))
+        peak = terms.max()
+        norm = float(peak * np.sqrt(np.sum((terms / peak) ** 2)))
+    if not math.isfinite(norm):
+        raise EvaluationRangeError(
+            f"the order-{s:g} Sobolev norm exceeds double precision (~1.8e308) "
+            f"at N={v.truncation}")
+    return norm
 
 
 def fractional_H(v: SpectralVector, s: float) -> SpectralVector:

@@ -850,7 +850,7 @@ def check_norm_transport(ctx: VerifyContext, cid: str) -> ReportRecord:
     bare multiplier matrix: the wrapping phases are diagonal unitaries.
 
     The phases commute with D, so both weighted matrices have the same
-    singular values by construction, and the measured distance (2.2e-14, the
+    singular values by construction, and the measured distance (2.3e-16, the
     same at every seed) is the rounding of two norm computations.
     """
     tol = ctx.tol(cid)

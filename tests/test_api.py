@@ -103,6 +103,7 @@ def test_library_imports_no_scipy(tmp_path):
     # in a fresh interpreter: the test modules import scipy themselves.
     # export and probe run first, and load neither the verification suite
     # nor numpy.polynomial (the square-function routes' Gauss-Legendre rule)
+    # nor numpy.random (the norms start from a fixed vector, not a seed)
     code = ("import sys\n"
             f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
             "import focklab.cli\n"
@@ -110,7 +111,7 @@ def test_library_imports_no_scipy(tmp_path):
             f"'--out', {str(tmp_path / 'W.mat')!r}])\n"
             "focklab.cli.main(['probe', '--multiplier', 'bump', '--s', '1', '--N', '8', "
             f"'--N', '16', '--classical', '--out', {str(tmp_path / 'probe.json')!r}])\n"
-            "print(sorted(m for m in ('focklab.verify', 'numpy.polynomial') "
+            "print(sorted(m for m in ('focklab.verify', 'numpy.polynomial', 'numpy.random') "
             "if m in sys.modules))\n"
             "from focklab.verify import VerifyContext, run_suite\n"
             "run_suite(VerifyContext(seed=23))\n"

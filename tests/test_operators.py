@@ -307,7 +307,7 @@ class TestOperatorNorm:
         d = np.array([0.3, -2.5, 1.0, 0.1, 1.2], dtype=complex)
         M = OperatorMatrix(4, 1, np.diag(d), Convention.FOCK)
         assert operator_norm(M, 0.0) == pytest.approx(2.5, rel=1e-9)
-        # nearly degenerate top pair: squaring separates it in a few steps
+        # nearly degenerate top pair: the cycle spans C^5 within five steps
         d2 = np.array([0.3, -2.5, 1.0, 0.1, 2.49], dtype=complex)
         M2 = OperatorMatrix(4, 1, np.diag(d2), Convention.FOCK)
         assert operator_norm(M2, 0.0) == pytest.approx(2.5, rel=1e-12)
@@ -323,6 +323,19 @@ class TestOperatorNorm:
             warnings.simplefilter("error", ConvergenceWarning)
             got = operator_norm(A, 0.0)
         assert got == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("N", [8, 16, 32, 64])
+    @pytest.mark.parametrize("label", ["constant", "constant:2.5", "signum", "chirp43", "bump",
+                                       "bump:1.5", "modulation:0.5", "modulation:0.7293"])
+    def test_matches_dense_svd(self, label, N):
+        # worst measured 3.1e-14 relative, at signum, s = 0, N = 64; power
+        # iteration with squaring missed modulation:0.7293 at s = 0, N = 16
+        # by 5.2e-12
+        A = conjugated_multiplier_matrix(parse_multiplier(label), N)
+        for s in (0.0, 0.5, 1.0, 2.0):
+            d = eigenvalues(1, N) ** (s / 2)
+            want = np.linalg.norm(d[:, None] * A.entries / d[None, :], 2)
+            assert operator_norm(A, s) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_step_cap_warns_with_bracket(self):
         from focklab.transforms import OperatorMatrix
@@ -374,6 +387,54 @@ class TestOperatorNorm:
                 assert a == pytest.approx(b, rel=1e-11)
 
 
+def scaled_top_singular(B):
+    """Top singular value of B by dense SVD of B / max|B|, clear of overflow
+    in the SVD's own sums at any finite B."""
+    c = np.abs(B).max()
+    return float(np.linalg.svd(B / c, compute_uv=False)[0]) * c
+
+
+class TestLargeOrder:
+    # orders far past the probe ladders: the weighted sections span up to
+    # 1e270, and their Gram products would overflow unscaled
+
+    @pytest.mark.parametrize("N", [64, 248])
+    @pytest.mark.parametrize("s", [100.0, 200.0])
+    def test_hermite_side_matches_scaled_svd(self, s, N):
+        # 4.35e89 at s = 100, N = 64, where power iteration returned 0.0;
+        # worst measured 2.7e-16 relative
+        A = conjugated_multiplier_matrix(bump(), N)
+        d = eigenvalues(1, N) ** (s / 2)
+        want = scaled_top_singular(d[:, None] * A.entries / d[None, :])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = operator_norm(A, s)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("N", [64, 248])
+    @pytest.mark.parametrize("s", [100.0, 200.0])
+    def test_classical_side_matches_scaled_svd(self, s, N):
+        # the unscaled Gram product read nan at s = 100, N = 64; worst measured
+        # 4.5e-16 relative
+        m = bump()
+        want = scaled_top_singular(fft_section(m, s, N, 32 * N))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _classical_norm(m, s, N)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("N", [64, 248])
+    def test_weights_past_double_precision_are_refused(self, N):
+        # the weights (2N+1)^150 and (1 + |xi|^2)^150, |xi| <= sqrt(2N+1),
+        # overflow at s = 300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationRangeError, match=f"s=300, N={N} is not finite"):
+                operator_norm(conjugated_multiplier_matrix(bump(), N), 300.0)
+            with pytest.raises(EvaluationRangeError, match=f"s=300, N={N} is not finite"):
+                _classical_norm(bump(), 300.0, N)
+
+
 def classical_dense(m, s, N):
     """Reference matrix B = D F diag(m(x)) F^H D^-1 of the periodized
     classical multiplication operator, from an explicit unitary DFT matrix F:
@@ -416,9 +477,9 @@ def fft_section(m, s, N, P):
 
 
 def _eigsh_top(B):
-    """Top eigenvalue of B^H B by scipy's ARPACK (tol 1e-12), from the
-    library's seeded start vector: an independent reference for
-    ``operators._lanczos_top``."""
+    """Top eigenvalue of B^H B by scipy's ARPACK (tol 1e-12), from a seeded
+    random start vector, not the library's fixed one: an independent
+    reference for ``operators._lanczos_top``."""
     n = B.shape[1]
     rng = np.random.default_rng(1234)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -456,7 +517,7 @@ class TestClassicalNorm:
     @pytest.mark.parametrize("label", ["constant", "signum", "chirp43", "modulation:0.7",
                                        "bump", "bump:1.5", "modulation:0.5"])
     def test_lanczos_matches_eigsh(self, label, s, N):
-        # the probe-sweep grid at s > 0; worst measured 2.4e-15 relative
+        # the probe-sweep grid at s > 0; worst measured 2.5e-15 relative
         m = parse_multiplier(label)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
@@ -470,7 +531,7 @@ class TestClassicalNorm:
     def test_s_zero_matches_dense_svd(self, label, N):
         # the probe-sweep grid at s = 0, where the top of the Gram spectrum
         # clusters near sup|m| and ARPACK's default basis of 20 does not
-        # converge for signum and chirp43; worst measured 2.7e-14 relative,
+        # converge for signum and chirp43; worst measured 4.0e-14 relative,
         # at modulation:0.7, N = 16
         m = parse_multiplier(label)
         with warnings.catch_warnings():
@@ -482,7 +543,7 @@ class TestClassicalNorm:
     @pytest.mark.parametrize("N", [128, 240])
     @pytest.mark.parametrize("label", ["signum", "bump"])
     def test_matches_eigsh_at_large_N(self, label, N):
-        # worst measured 2.7e-15 relative
+        # worst measured 2.4e-15 relative
         m = parse_multiplier(label)
         want = math.sqrt(_eigsh_top(fft_section(m, 0.5, N, 32 * N)))
         assert _classical_norm(m, 0.5, N) == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -492,7 +553,7 @@ class TestClassicalNorm:
     @pytest.mark.parametrize("label", ["constant", "bump"])
     def test_grid_doubling_moves_smooth_multipliers_by_rounding(self, label, s, N):
         # P only sets the accuracy of the Fourier coefficients; worst
-        # measured 6.7e-16 relative
+        # measured 6.5e-16 relative
         m = parse_multiplier(label)
         want = np.linalg.norm(fft_section(m, s, N, 64 * N), 2)
         assert _classical_norm(m, s, N) == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -513,9 +574,9 @@ class TestClassicalNorm:
     def test_lanczos_runs_on_the_section(self, monkeypatch, s):
         sizes = []
 
-        def recording(gram, v):
+        def recording(gram, v, steps=None):
             sizes.append(v.size)
-            return lanczos(gram, v)
+            return lanczos(gram, v, steps)
 
         lanczos = operators._lanczos_top
         monkeypatch.setattr(operators, "_lanczos_top", recording)
@@ -523,9 +584,36 @@ class TestClassicalNorm:
             _classical_norm(parse_multiplier("bump:1.5"), s, N)
         assert sizes == [27, 49, 93, 179] == [section_size(N) for N in (8, 16, 32, 64)]
 
+    def test_lanczos_basis_grows_with_the_cycle(self):
+        # a cycle that converges early keeps a 64-vector basis, not a P x P
+        # one (7 MB per copy at P = 661); one that runs on grows it
+        import tracemalloc
+
+        P = 661
+        d = np.linspace(0.0, 1.0, P) ** 8
+        d[-1] = 4.0
+        tracemalloc.start()
+        try:
+            theta, converged = operators._lanczos_top(lambda u: d * u, np.ones(P, dtype=complex))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert converged and theta == pytest.approx(4.0, rel=1e-12)
+        assert peak < 2 * 64 * P * 16 + 2**20
+        steps = []
+        slow = np.linspace(1.0, 2.0, P)
+
+        def gram(u):
+            steps.append(1)
+            return slow * u
+
+        theta, converged = operators._lanczos_top(gram, operators._start_vector(P))
+        assert converged and theta == pytest.approx(2.0, rel=1e-12)
+        assert len(steps) > 128
+
     @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
     def test_constant_is_one(self, s):
-        # worst measured 1.6e-15, at s = 3, N = 248
+        # worst measured 3.3e-15, at s = 3, N = 248
         for N in (4, 8, 16, 32, 64, 128, 240, 248):
             assert _classical_norm(constant(1.0), s, N) == pytest.approx(1.0, rel=1e-14,
                                                                          abs=0.0)

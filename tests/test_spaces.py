@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from focklab.errors import DivergenceError
+from focklab.errors import DivergenceError, EvaluationRangeError
 from focklab.hermite import (
     Convention,
     SpectralVector,
@@ -55,6 +55,20 @@ class TestSobolevNorm:
         c[0] = c[1] = 1.0
         v = SpectralVector(1, 2, Convention.PAPER_H, c)
         assert sobolev_norm(v, 2.0) == pytest.approx(math.sqrt(10), rel=1e-14)
+
+    def test_zero_coefficients_past_the_overflow_of_lam_s(self):
+        # lam^128 overflows at the top of N = 2000, where e_0 has a zero
+        # coefficient: 0 * inf must not turn the norm into nan
+        v = SpectralVector.unit(1, 2000, Convention.FOCK, 0)
+        assert sobolev_norm(v, 128.0) == 1.0
+        assert square_function_norm(v, 128.0, 65) == smoothing_constant(128.0, 65)
+
+    def test_norm_whose_square_overflows(self):
+        # ||e_2000||^2 = 4001^128 overflows; the norm 4001^64 ~ 3.5e230 does not
+        v = SpectralVector.unit(1, 2000, Convention.FOCK, 2000)
+        assert sobolev_norm(v, 128.0) == pytest.approx(4001.0 ** 64, rel=1e-14)
+        with pytest.raises(EvaluationRangeError, match="order-200 Sobolev norm"):
+            sobolev_norm(v, 200.0)
 
     def test_rejects_negative_order(self):
         v = random_vector(1, 4, Convention.PAPER_H, 0)
