@@ -126,6 +126,9 @@ class QuadratureGrid:
     ``axis_nodes``/``axis_weights`` hold the 1D rule; ``nodes`` (Q^n, n) and
     ``weights`` (Q^n,) the tensorized one.  The 1D rule with Q points is
     exact for polynomials of degree <= 2Q-1 against its weight.
+    ``dx_weights`` (Q^n,) are the same nodes' weights against plain dx,
+    weights * exp(scale*|x|^2), for integrands that carry their own
+    Gaussian (products of basis functions); they are O(1) at every node.
     """
 
     order: int
@@ -135,11 +138,7 @@ class QuadratureGrid:
     axis_weights: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-
-    def loaded_weights(self, exponent: float) -> np.ndarray:
-        """weights * exp(exponent * |x|^2); exponent <= scale keeps this bounded."""
-        r2 = np.sum(self.nodes * self.nodes, axis=1)
-        return self.weights * np.exp(exponent * r2)
+    dx_weights: np.ndarray
 
     def complex_nodes(self) -> np.ndarray:
         """Pair up axes of a 2m-dim grid as m complex coordinates."""
@@ -171,8 +170,9 @@ def gauss_hermite(order: int, scale: float = 1.0, dim: int = 1) -> QuadratureGri
 
 
 @lru_cache(maxsize=None)
-def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-scale n-point Gauss-Hermite nodes (ascending) and weights (Golub-Welsch).
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-scale n-point Gauss-Hermite nodes (ascending), weights against
+    e^{-x^2} and weights against dx (Golub-Welsch).
 
     The rule is symmetric, and the squares of its positive nodes are the
     Gauss-Laguerre nodes for the weight t^alpha e^{-t}, alpha = -1/2 (n = 2m)
@@ -183,6 +183,8 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     with p_{n-1} moved to first order along the step.  The recurrence is
     rescaled by powers of two as it runs; the weights take the accumulated
     exponent back exactly, so those below the double range underflow to 0.
+    The dx weights 1/(n psi_{n-1}^2) = w e^{x^2}, psi the Hermite function,
+    take it back in the exponent of e^{x^2}, so none underflows.
     Built once per order and shared by every scale and dim (read-only).
     """
     m, odd = divmod(n, 2)
@@ -206,28 +208,36 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     step = -p_n / (math.sqrt(2.0 * n) * cur)
     x = x + step
     p_last = cur + step * math.sqrt(2.0 * (n - 1)) * prev
-    w = np.ldexp(1.0 / (n * p_last * p_last), -2 * exp2)
+    cd = 1.0 / (n * p_last * p_last)
+    w = np.ldexp(cd, -2 * exp2)
+    W = cd * np.exp(x * x - 2.0 * math.log(2.0) * exp2)
     # mirror, keeping a single 0 node for odd n
-    x, w = np.concatenate((-x[odd:][::-1], x)), np.concatenate((w[odd:][::-1], w))
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    x = np.concatenate((-x[odd:][::-1], x))
+    w, W = (np.concatenate((a[odd:][::-1], a)) for a in (w, W))
+    for a in (x, w, W):
+        a.setflags(write=False)
+    return x, w, W
 
 
 @lru_cache(maxsize=None)
 def _gauss_hermite(order: int, scale: float, dim: int) -> QuadratureGrid:
-    x, w = _hermite_rule(order)
+    x, w, W = _hermite_rule(order)
     rt = math.sqrt(scale)
     ax = x / rt
     aw = w / rt
-    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    wmesh = np.meshgrid(*([aw] * dim), indexing="ij")
-    weights = np.prod(np.stack([m.ravel() for m in wmesh], axis=1), axis=1)
-    for a in (ax, aw, nodes, weights):
+
+    def tensor(a):
+        mesh = np.meshgrid(*([a] * dim), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
+    nodes = tensor(ax)
+    weights = np.prod(tensor(aw), axis=1)
+    dx_weights = np.prod(tensor(W / rt), axis=1)
+    for a in (ax, aw, nodes, weights, dx_weights):
         a.setflags(write=False)
-    return QuadratureGrid(order=order, dim=dim, scale=scale,
-                          axis_nodes=ax, axis_weights=aw, nodes=nodes, weights=weights)
+    return QuadratureGrid(order=order, dim=dim, scale=scale, axis_nodes=ax,
+                          axis_weights=aw, nodes=nodes, weights=weights,
+                          dx_weights=dx_weights)
 
 
 def _checked_exp(z: np.ndarray) -> np.ndarray:
@@ -241,13 +251,12 @@ def _checked_exp(z: np.ndarray) -> np.ndarray:
     return np.exp(z)
 
 
-def hermite_axis_table(N: int, x, convention: Convention,
-                       weightless: bool = False) -> np.ndarray:
+def hermite_axis_table(N: int, x, convention: Convention) -> np.ndarray:
     """Values of basis functions 0..N on one axis, shape (N+1,) + x.shape.
 
-    ``weightless=True`` drops the Gaussian from the recurrence seed, returning
-    the normalized polynomial parts p_k with basis_k = p_k * weight.  For the
-    fock convention the entries are e_k(x) = x^k / sqrt(k!) (no weight).
+    The Gaussian enters through the recurrence seed, so every entry carries
+    it.  For the fock convention the entries are e_k(x) = x^k / sqrt(k!)
+    (no weight).
     """
     x = np.asarray(x)
     scalar = x.ndim == 0
@@ -266,10 +275,7 @@ def hermite_axis_table(N: int, x, convention: Convention,
     else:
         lead = (2.0 / math.pi) ** 0.25
         xfac = 2.0
-    if weightless:
-        out[0] = lead
-    else:
-        out[0] = lead * _checked_exp(-0.5 * convention.weight_exponent * x * x)
+    out[0] = lead * _checked_exp(-0.5 * convention.weight_exponent * x * x)
     if N >= 1:
         out[1] = xfac * x * out[0]
     for k in range(1, N):
@@ -285,8 +291,7 @@ def eval_hermite(k: int, x, convention: Convention = Convention.PAPER_H):
     return hermite_axis_table(k, x, convention)[k]
 
 
-def basis_table(n: int, N: int, points: np.ndarray, convention: Convention,
-                weightless: bool = False) -> np.ndarray:
+def basis_table(n: int, N: int, points: np.ndarray, convention: Convention) -> np.ndarray:
     """Values basis_alpha(points) for all |alpha| <= N, shape (count, npts).
 
     ``points`` is (npts, n), or (npts,) for n = 1.
@@ -296,7 +301,7 @@ def basis_table(n: int, N: int, points: np.ndarray, convention: Convention,
         points = points.reshape(-1, 1)
     if points.shape[1] != n:
         raise ValueError(f"points have dimension {points.shape[1]}, expected {n}")
-    tabs = [hermite_axis_table(N, points[:, j], convention, weightless) for j in range(n)]
+    tabs = [hermite_axis_table(N, points[:, j], convention) for j in range(n)]
     if n == 1:  # the graded order is the axis order
         return tabs[0]
     alpha = index_array(n, N)
@@ -366,10 +371,8 @@ def project(f: Callable[[np.ndarray], np.ndarray], N: int, grid: QuadratureGrid,
     vals = np.asarray(f(pts), dtype=complex)
     if vals.shape != (grid.nodes.shape[0],):
         raise ValueError("f must return one value per node")
-    # basis = p_alpha * exp(-(w/2)|x|^2): fold the residual Gaussian into the weights
-    wg = grid.loaded_weights(0.5 * w)
-    P = basis_table(grid.dim, N, grid.nodes, convention, weightless=True)
-    return SpectralVector(grid.dim, N, convention, P @ (wg * vals))
+    P = basis_table(grid.dim, N, grid.nodes, convention)
+    return SpectralVector(grid.dim, N, convention, P @ (grid.dx_weights * vals))
 
 
 def synthesize(v: SpectralVector, points) -> np.ndarray:

@@ -285,13 +285,17 @@ def multiplier_matrix(m: MultiplierSpec, N: int) -> OperatorMatrix:
 
     The samples m(x) enter divided by their power-of-two scale and the
     entries are scaled back (exact), which keeps their products with the
-    tiny outer weights clear of underflow when |m| is tiny."""
+    tiny outer table values clear of underflow when |m| is tiny.  Terms
+    below 2^-511 then add at most Q 2^-511 to an entry; they are flushed
+    to 0, which keeps the product free of slow subnormal arithmetic."""
     grid = gauss_hermite(2 * N + 16, 2.0, 1)
     x = grid.nodes[:, 0]
-    P = basis_table(1, N, grid.nodes, Convention.BARGMANN_H, weightless=True)
+    P = basis_table(1, N, grid.nodes, Convention.BARGMANN_H)
     vals = m(x)
     scale = _binary_scale(vals)
-    ent = (P * (grid.weights * (vals / scale))) @ P.T
+    A = P * (grid.dx_weights * (vals / scale))
+    A[np.abs(A) < 2.0 ** -511] = 0.0
+    ent = A @ P.T
     return OperatorMatrix(N, 1, ent * scale, Convention.BARGMANN_H)
 
 

@@ -321,18 +321,17 @@ class PartitionBump:
 def _localization_tables(bump: PartitionBump, convention: Convention, N2: int, M: int):
     """The v-independent tables of ``localization_norm``, built once per key:
     the projection grid, the (cells x nodes) table E of eta_m over the cells
-    |m|_inf <= M, the weightless basis table P at truncation N2, the loaded
-    weights and the boundary-cell mask (all read-only)."""
+    |m|_inf <= M, the basis table P at truncation N2 and the boundary-cell
+    mask (all read-only)."""
     n, w = bump.dim, convention.weight_exponent
     grid = gauss_hermite(N2 + 24, float(w), n)
     cells = np.array(list(itertools.product(range(-M, M + 1), repeat=n)), dtype=float)
     E = bump(grid.nodes[None, :, :] + cells[:, None, :]).reshape(len(cells), -1)
-    P = basis_table(n, N2, grid.nodes, convention, weightless=True)
-    lw = grid.loaded_weights(0.5 * w)
+    P = basis_table(n, N2, grid.nodes, convention)
     edge = np.abs(cells).max(axis=1) == M
-    for a in (E, P, lw, edge):
+    for a in (E, P, edge):
         a.setflags(write=False)
-    return grid, E, P, lw, edge
+    return grid, E, P, edge
 
 
 def localization_norm(v: SpectralVector, s: float, bump: PartitionBump,
@@ -353,8 +352,8 @@ def localization_norm(v: SpectralVector, s: float, bump: PartitionBump,
     if lattice_radius < 0:
         raise ValueError(f"lattice_radius must be >= 0, got {lattice_radius}")
     N2, M = v.truncation + 24, lattice_radius
-    grid, E, P, lw, edge = _localization_tables(bump, v.convention, N2, M)
-    coeffs = P @ (lw * synthesize(v, grid.nodes) * E).T
+    grid, E, P, edge = _localization_tables(bump, v.convention, N2, M)
+    coeffs = P @ (grid.dx_weights * synthesize(v, grid.nodes) * E).T
     cell = eigenvalues(v.dim, N2) ** s @ np.abs(coeffs) ** 2
     total = float(cell.sum())
     boundary = float(cell[edge].sum())
@@ -377,6 +376,5 @@ def potential_bound_probe(v: SpectralVector, s: float) -> float:
     pts = grid.nodes if v.dim > 1 else grid.nodes[:, 0]
     vals = synthesize(w, pts)
     r2 = np.sum(grid.nodes * grid.nodes, axis=1)
-    wts = grid.loaded_weights(grid.scale)  # plain dx rule; integrand carries its own decay
-    num = math.sqrt(float(np.sum(wts * r2 ** (2 * s) * np.abs(vals) ** 2)))
+    num = math.sqrt(float(np.sum(grid.dx_weights * r2 ** (2 * s) * np.abs(vals) ** 2)))
     return num / v.norm()

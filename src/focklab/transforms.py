@@ -140,11 +140,10 @@ def fourier_quadrature(f, x, grid: QuadratureGrid) -> np.ndarray:
     if single:
         x = x.reshape(1, -1) if grid.dim > 1 else x.reshape(1)
     xm = x.reshape(len(x), -1)
-    W = grid.loaded_weights(1.0)
     pts = grid.nodes if grid.dim > 1 else grid.nodes[:, 0]
     vals = np.asarray(f(pts), dtype=complex)
     ker = np.exp(-2j * (xm @ grid.nodes.T))
-    out = math.pi ** (-grid.dim / 2) * (ker @ (W * vals))
+    out = math.pi ** (-grid.dim / 2) * (ker @ (grid.dx_weights * vals))
     return out[0] if single else out
 
 
@@ -164,22 +163,19 @@ def bargmann_quadrature(f, z, grid2: QuadratureGrid) -> np.ndarray:
     shape = z.shape if n == 1 else z.shape[:-1]
     zm = z.reshape(-1, n)
     y = grid2.nodes
-    W = grid2.loaded_weights(1.0)  # w2 * e^{|y|^2}: the integrand keeps e^{-|y|^2} decay
-    ker = np.exp(2.0 * (zm @ y.T) - 0.5 * np.sum(zm * zm, axis=1)[:, None])
+    ker = np.exp(2.0 * (zm @ y.T) - 0.5 * np.sum(zm * zm, axis=1)[:, None]
+                 - np.sum(y * y, axis=1))
     vals = np.asarray(f(y if n > 1 else y[:, 0]), dtype=complex)
-    out = (2.0 / math.pi) ** (n / 4) * (ker @ (W * vals))
+    out = (2.0 / math.pi) ** (n / 4) * (ker @ (grid2.dx_weights * vals))
     return out.reshape(shape)[()]  # 0-d -> scalar
 
 
 def _translation_axis(a: float, N: int, convention: Convention) -> np.ndarray:
-    w = convention.weight_exponent
-    g = gauss_hermite(N + 16, float(w), 1)
+    g = gauss_hermite(N + 16, float(convention.weight_exponent), 1)
     x = g.nodes[:, 0]
-    Pa = basis_table(1, N, x, convention, weightless=True)
-    Pb = basis_table(1, N, x - a, convention, weightless=True)
-    # b_beta(x-a) b_alpha(x) = p_beta(x-a) p_alpha(x) exp(-w x^2 + w a x - w a^2/2)
-    wt = g.weights * np.exp(w * a * x - 0.5 * w * a * a)
-    return (Pa * wt) @ Pb.T
+    Pa = basis_table(1, N, x, convention)
+    Pb = basis_table(1, N, x - a, convention)
+    return (Pa * g.dx_weights) @ Pb.T
 
 
 def translation_matrix(a, N: int,

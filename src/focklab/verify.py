@@ -179,8 +179,8 @@ def check_orthonormality(ctx: VerifyContext, cid: str) -> ReportRecord:
     for conv in (Convention.PAPER_H, Convention.BARGMANN_H):
         N = 20
         g = gauss_hermite(N + 12, float(conv.weight_exponent), 1)
-        P = basis_table(1, N, g.nodes, conv, weightless=True)
-        G = (P * g.weights) @ P.T
+        P = basis_table(1, N, g.nodes, conv)
+        G = (P * g.dx_weights) @ P.T
         worst = max(worst, float(np.abs(G - np.eye(N + 1)).max()))
     return _record(cid, worst <= tol, worst, tol, N=20)
 
@@ -197,24 +197,18 @@ def check_recurrence_values(ctx: VerifyContext, cid: str) -> ReportRecord:
     return _record(cid, worst <= tol, worst, tol)
 
 
-@check("hermite.differential-consistency", tol=1e-8)
+@check("hermite.differential-consistency", tol=1e-11)
 def check_differential_consistency(ctx: VerifyContext, cid: str) -> ReportRecord:
-    """<(d/dx + x) h_k, h_{k-1}> = sqrt(2k) with a finite-difference derivative."""
+    """<(d/dx + x) h_k, h_{k-1}> = sqrt(2k) with the complex-step derivative
+    h_k'(x) = Im h_k(x + ih)/h, from function values alone (no ``ladder``)."""
     tol = ctx.tol(cid)
     g = gauss_hermite(64, 1.0, 1)
     x = g.nodes[:, 0]
-    h = 1e-3
-    worst = 0.0
-    for k in range(1, 21):
-        tab = hermite_axis_table(k, np.concatenate([x, x + h, x - h, x + 2 * h, x - 2 * h]),
-                                 Convention.PAPER_H)
-        hk = tab[k][:len(x)]
-        d = (-tab[k][3 * len(x):4 * len(x)] + 8 * tab[k][len(x):2 * len(x)]
-             - 8 * tab[k][2 * len(x):3 * len(x)] + tab[k][4 * len(x):]) / (12 * h)
-        hkm1 = hermite_axis_table(k - 1, x, Convention.PAPER_H)[k - 1]
-        wts = g.loaded_weights(1.0)
-        val = float(np.sum(wts * (d + x * hk) * hkm1))
-        worst = max(worst, abs(val - math.sqrt(2 * k)))
+    h = 1e-30
+    tab = hermite_axis_table(20, x + 1j * h, Convention.PAPER_H)
+    hk, d = tab.real, tab.imag / h
+    worst = max(abs(float(np.sum(g.dx_weights * (d[k] + x * hk[k]) * hk[k - 1]))
+                    - math.sqrt(2 * k)) for k in range(1, 21))
     return _record(cid, worst <= tol, worst, tol, k_max=20)
 
 
@@ -393,8 +387,9 @@ def check_partition_sum(ctx: VerifyContext, cid: str) -> ReportRecord:
 @check("spaces.localization-interval")
 def check_localization_interval(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Exact range of ||f||_loc / ||f||_s: each cell's re-projected piece is
-    P diag(lw eta_m) B^T c, from the tables ``localization_norm`` uses.  At
-    s = 1 both ends must be stable in N, at s = 0 inside the overlap bounds."""
+    P diag(W eta_m) B^T c, W the grid's dx weights, from the tables
+    ``localization_norm`` uses.  At s = 1 both ends must be stable in N, at
+    s = 0 inside the overlap bounds."""
     th = ctx.threshold()
     bmp = PartitionBump()
     smin, smax = bmp.squared_sum_range()
@@ -404,9 +399,9 @@ def check_localization_interval(ctx: VerifyContext, cid: str) -> ReportRecord:
         # with + 2 the s = 0 extremal vectors at N = 16 leave 1.9e-6 of their
         # sum in the boundary cells, above localization_norm's warning level
         M = math.ceil(math.sqrt(2 * N + 1)) + 3
-        grid, E, P, lw, _ = _localization_tables(bmp, Convention.PAPER_H, N + 24, M)
+        grid, E, P, _ = _localization_tables(bmp, Convention.PAPER_H, N + 24, M)
         B = basis_table(1, N, grid.nodes, Convention.PAPER_H)
-        cells = (((lw * E)[:, None, :] * B) @ P.T).transpose(0, 2, 1)  # (cell, k, j)
+        cells = (((grid.dx_weights * E)[:, None, :] * B) @ P.T).transpose(0, 2, 1)  # (cell, k, j)
         for s in (0.0, 1.0):
             A = (cells * eigenvalues(1, N + 24)[:, None] ** (s / 2)).reshape(-1, N + 1)
             lo, hi, d = _extremes(A, eigenvalues(1, N) ** (-s / 2), Convention.PAPER_H,
@@ -462,7 +457,7 @@ def check_potential_bound(ctx: VerifyContext, cid: str) -> ReportRecord:
         for N in _LADDER:
             grid = gauss_hermite(min(2 * N + 48, 512), 1.0, 1)
             x = grid.nodes[:, 0]
-            A = ((np.sqrt(grid.loaded_weights(grid.scale)) * (x * x) ** s)[:, None]
+            A = ((np.sqrt(grid.dx_weights) * (x * x) ** s)[:, None]
                  * basis_table(1, N, x, Convention.PAPER_H).T * eigenvalues(1, N) ** -s)
             _, top, d = _extremes(A, np.ones(N + 1), Convention.PAPER_H,
                                   lambda v: potential_bound_probe(v, s), ends=(0,))
@@ -523,7 +518,7 @@ def check_fourier_eigen(ctx: VerifyContext, cid: str) -> ReportRecord:
                              "fourth_power_defect": fourth}, tol, k_max=20)
 
 
-@check("transforms.translation", tol=1e-12, sub={"group-law": 1e-12, "unitarity": 1e-4})
+@check("transforms.translation", tol=1e-12, sub={"group-law": 1e-12, "unitarity": 1e-10})
 def check_translation(ctx: VerifyContext, cid: str) -> ReportRecord:
     tol = ctx.tol(cid)
     N = 32
@@ -537,11 +532,12 @@ def check_translation(ctx: VerifyContext, cid: str) -> ReportRecord:
     Tb = translation_matrix(np.array([0.4]), N)
     Tab = translation_matrix(np.array([1.1]), N)
     glaw = float(np.linalg.norm(interior_block(Ta.entries @ Tb.entries - Tab.entries, 1, N)))
-    udef = max(translation_matrix(np.array([a]), N).unitarity_defect() for a in (0.5, 1.0))
+    # at N = 48 the interior defect is rounding; at N = 32, a = 1 it is truncation
+    udef = max(translation_matrix(np.array([a]), 48).unitarity_defect() for a in (0.5, 1.0))
     ok = (worst <= tol and glaw <= ctx.tol(cid + ".group-law")
           and udef <= ctx.tol(cid + ".unitarity"))
     return _record(cid, ok, {"overlap_defect": worst, "group_law": glaw,
-                             "unitarity_defect": udef}, tol, N=N)
+                             "unitarity_defect": udef}, tol, N=N, N_unitarity=48)
 
 
 @check("transforms.weyl", tol=1e-13)
@@ -592,7 +588,7 @@ def check_weyl(ctx: VerifyContext, cid: str) -> ReportRecord:
                              "C_by_N": consts, "route_defect": route}, tol, threshold=th)
 
 
-@check("transforms.conjugation", tol=1e-11, sub={"floor": 1e-10})
+@check("transforms.conjugation", tol=1e-11, sub={"floor": 1e-11})
 def check_conjugation(ctx: VerifyContext, cid: str) -> ReportRecord:
     """Translation (real-line quadrature) vs Weyl (Fock-side analytic) agree
     on interior blocks; both are sections of one operator."""
@@ -631,7 +627,7 @@ def check_translation_ladder(ctx: VerifyContext, cid: str) -> ReportRecord:
     return _record(cid, ok, {"first_order": worst, "second_order": worst2}, tol)
 
 
-@check("transforms.leibniz", tol=1e-8, sub={"const": 1e-10})
+@check("transforms.leibniz", tol=1e-8, sub={"const": 1e-12})
 def check_leibniz(ctx: VerifyContext, cid: str) -> ReportRecord:
     tol = ctx.tol(cid)
     h0 = SpectralVector.unit(1, 0, Convention.PAPER_H, 0)
@@ -844,7 +840,7 @@ def check_commutation(ctx: VerifyContext, cid: str) -> ReportRecord:
     return _record(cid, worst <= tol, worst, tol, N=N)
 
 
-@check("operators.norm-transport", tol=1e-11)
+@check("operators.norm-transport", tol=1e-13)
 def check_norm_transport(ctx: VerifyContext, cid: str) -> ReportRecord:
     """The Fock-side weighted norm equals the real-line weighted norm of the
     bare multiplier matrix: the wrapping phases are diagonal unitaries.

@@ -13,7 +13,6 @@ from focklab.errors import EvaluationRangeError, FockLabError
 from focklab.hermite import (
     Convention,
     SpectralVector,
-    basis_table,
     convert_convention,
     eval_hermite,
     gauss_hermite,
@@ -104,8 +103,9 @@ class TestEvaluation:
             rhs = 2 ** 0.25 * hermite_axis_table(k, math.sqrt(2) * xs, Convention.PAPER_H)[k]
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
-    @pytest.mark.parametrize("k", [10, 50, 120, 200])
-    @pytest.mark.parametrize("x", [0.3, 4.0, 11.5, 19.5])
+    # x up to 31.4 covers the nodes of the order-512 rule
+    @pytest.mark.parametrize("k", [10, 50, 120, 200, 248, 300])
+    @pytest.mark.parametrize("x", [0.3, 4.0, 11.5, 19.5, 22.0, 26.0, 31.4])
     def test_deep_recurrence_matches_mpmath(self, k, x):
         want = float(_mp_paper_h(k, x))
         got = eval_hermite(k, x)
@@ -164,6 +164,13 @@ class TestProjection:
         w = project(lambda x: synthesize(v, x), 20, grid2, Convention.BARGMANN_H)
         assert np.abs(w.coeffs - v.coeffs).max() <= 1e-10
 
+    def test_roundtrip_of_the_top_degree_at_order_512(self):
+        # measured 5.5e-15; polynomial parts against underflowing weights read 4.3e-14
+        u = SpectralVector.unit(1, 248, Convention.BARGMANN_H, 248)
+        v = project(lambda x: synthesize(u, x), 248, gauss_hermite(512, 2.0, 1),
+                    Convention.BARGMANN_H)
+        assert np.abs(v.coeffs - u.coeffs).max() <= 2e-14
+
     def test_complex_synthesis_extended_precision(self):
         v = random_vector(1, 20, Convention.BARGMANN_H, 3)
         z = 0.5 + 0.3j
@@ -202,8 +209,7 @@ class TestLadder:
         t = hermite_axis_table(4, np.concatenate([xs - h, xs + h, xs]), Convention.PAPER_H)
         n = len(xs)
         deriv = (t[3][n:2 * n] - t[3][:n]) / (2 * h)
-        val = float(np.sum(grid1.loaded_weights(1.0)
-                           * (-deriv + xs * t[3][2 * n:]) * t[4][2 * n:]))
+        val = float(np.sum(grid1.dx_weights * (-deriv + xs * t[3][2 * n:]) * t[4][2 * n:]))
         assert val == pytest.approx(math.sqrt(8), abs=1e-7)
         v = SpectralVector.unit(1, 10, Convention.PAPER_H, 3)
         assert ladder(v, "raise").coeffs[4] == pytest.approx(math.sqrt(8), rel=1e-15)
@@ -290,11 +296,3 @@ def test_ladder_adjointness_property(seed, k, axis_count):
     lhs = np.vdot(v.coeffs, ladder(u, "raise").coeffs)
     rhs = np.vdot(ladder(v, "lower").coeffs, u.coeffs)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_basis_table_grid_consistency(grid2):
-    # weightless table times the Gaussian equals the weighted table
-    xs = grid2.nodes[:, 0]
-    full = basis_table(1, 6, xs, Convention.BARGMANN_H)
-    bare = basis_table(1, 6, xs, Convention.BARGMANN_H, weightless=True)
-    assert np.abs(full - bare * np.exp(-xs ** 2)).max() <= 1e-14

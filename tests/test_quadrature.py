@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,7 +71,7 @@ def test_rules_are_built_once_per_normalized_key():
     assert gauss_hermite(64, 2.0, 1) is g
     assert gauss_hermite(np.int64(64), np.float64(2.0), np.int64(1)) is g
     assert type(g.scale) is float and type(g.order) is int and type(g.dim) is int
-    for a in (g.axis_nodes, g.axis_weights, g.nodes, g.weights):
+    for a in (g.axis_nodes, g.axis_weights, g.nodes, g.weights, g.dx_weights):
         assert not a.flags.writeable
     assert gauss_hermite(64, 2.0, 2) is not g
 
@@ -120,3 +121,29 @@ def test_odd_orders_carry_an_exact_zero_node(order):
     assert g.axis_nodes[order // 2] == 0.0
     assert np.array_equal(g.axis_nodes, -g.axis_nodes[::-1])
     assert np.array_equal(g.axis_weights, g.axis_weights[::-1])
+
+
+# dx weights: 1/(n psi_{n-1}(x)^2) with psi the orthonormal Hermite function,
+# referenced by mpmath's closed-form H_{n-1}, not by the recurrence
+@pytest.mark.parametrize("order", [2, 3, 80, 151, 256, 511, 512])
+def test_dx_weights_match_mpmath(order):
+    g = gauss_hermite(order, 1.0, 1)
+    k = order - 1
+    with mp.workdps(40):
+        norm = mp.sqrt(2 ** k * mp.factorial(k) * mp.sqrt(mp.pi))
+        want = [float(norm ** 2 / (order * (mp.hermite(k, x) * mp.exp(-x * x / 2)) ** 2))
+                for x in map(mp.mpf, g.axis_nodes[order // 2:].tolist())]
+    W = g.dx_weights[order // 2:]
+    assert np.all(np.isfinite(g.dx_weights)) and np.all(g.dx_weights > 0)
+    assert np.array_equal(g.dx_weights, g.dx_weights[::-1])
+    assert np.abs(W / want - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("order,scale,dim", [(12, 3.0, 1), (16, 0.5, 2), (10, 2.0, 3)])
+def test_dx_weights_tensorize_like_weights(order, scale, dim):
+    g = gauss_hermite(order, scale, dim)
+    axis = gauss_hermite(order, 1.0, 1).dx_weights / math.sqrt(scale)
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    assert g.dx_weights == pytest.approx(np.prod([m.ravel() for m in mesh], axis=0), rel=1e-15)
+    r2 = np.sum(g.nodes * g.nodes, axis=1)
+    assert g.dx_weights == pytest.approx(g.weights * np.exp(scale * r2), rel=1e-13)

@@ -182,7 +182,7 @@ PINNED = {
     "hermite.quadrature-moments": 1e-12,
     "hermite.orthonormality": 1e-12,
     "hermite.recurrence-values": 1e-13,
-    "hermite.differential-consistency": 1e-08,
+    "hermite.differential-consistency": 1e-11,
     "hermite.ladder-composition": 1e-13,
     "hermite.projection-roundtrip": 1e-12,
     "hermite.projection-ladder-example": 1e-12,
@@ -199,13 +199,13 @@ PINNED = {
     "transforms.fourier-eigen": 1e-12,
     "transforms.translation": 1e-12,
     "transforms.translation.group-law": 1e-12,
-    "transforms.translation.unitarity": 0.0001,
+    "transforms.translation.unitarity": 1e-10,
     "transforms.weyl": 1e-13,
     "transforms.conjugation": 1e-11,
-    "transforms.conjugation.floor": 1e-10,
+    "transforms.conjugation.floor": 1e-11,
     "transforms.translation-ladder": 1e-11,
     "transforms.leibniz": 1e-08,
-    "transforms.leibniz.const": 1e-10,
+    "transforms.leibniz.const": 1e-12,
     "transforms.ladder-shift": 1e-12,
     "operators.symbol-closed-forms": 1e-12,
     "operators.symbol-roundtrip": 1e-09,
@@ -216,7 +216,7 @@ PINNED = {
     "operators.modulation-weyl": 1e-12,
     "operators.norm-identity": 0.05,
     "operators.commutation": 1e-05,
-    "operators.norm-transport": 1e-11,
+    "operators.norm-transport": 1e-13,
     "operators.multiplier-matrix": 1e-12,
 }
 
