@@ -165,7 +165,7 @@ class TestProjection:
         assert np.abs(w.coeffs - v.coeffs).max() <= 1e-10
 
     def test_roundtrip_of_the_top_degree_at_order_512(self):
-        # measured 5.5e-15; polynomial parts against underflowing weights read 4.3e-14
+        # measured 5.5e-15
         u = SpectralVector.unit(1, 248, Convention.BARGMANN_H, 248)
         v = project(lambda x: synthesize(u, x), 248, gauss_hermite(512, 2.0, 1),
                     Convention.BARGMANN_H)

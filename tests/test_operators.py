@@ -262,8 +262,7 @@ class TestMultiplierMatrix:
         assert np.abs(M.entries - np.eye(index_count(1, 16))).max() <= 1e-12
 
     def test_unit_multiplier_identity_at_the_largest_probe_size(self):
-        # order 512: measured 9.3e-15; polynomial parts against underflowing
-        # weights read 4.3e-14
+        # order 512; measured 9.3e-15
         M = multiplier_matrix(constant(1.0), 248)
         assert np.abs(M.entries - np.eye(249)).max() <= 2e-14
 
