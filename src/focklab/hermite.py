@@ -22,7 +22,7 @@ stable for degrees in the hundreds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -83,7 +83,8 @@ def index_array(n: int, N: int) -> np.ndarray:
     graded by |alpha|, lexicographic within each grade.
 
     The enumeration is total, duplicate-free and nondecreasing in |alpha|;
-    every truncated object in the package is laid out in this order.
+    every truncated object in the package is laid out in this order, so each
+    set |alpha| <= k is the prefix of length index_count(n, k).
     """
     if n < 1 or N < 0:
         raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
@@ -317,15 +318,13 @@ class SpectralVector:
 
     Coefficients are laid out in the graded enumeration; the L^2 norm is the
     Euclidean norm of ``coeffs``.  Instances are immutable; operations return
-    new vectors.  ``truncation_loss`` records L^2 mass dropped by the most
-    recent truncating operation (raising at the top grade).
+    new vectors.
     """
 
     dim: int
     truncation: int
     convention: Convention
     coeffs: np.ndarray
-    truncation_loss: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -343,8 +342,8 @@ class SpectralVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def with_coeffs(self, coeffs, loss: float = 0.0) -> "SpectralVector":
-        return replace(self, coeffs=coeffs, truncation_loss=loss)
+    def with_coeffs(self, coeffs) -> "SpectralVector":
+        return replace(self, coeffs=coeffs)
 
     @staticmethod
     def unit(n: int, N: int, convention: Convention, alpha) -> "SpectralVector":
@@ -389,27 +388,29 @@ def synthesize(v: SpectralVector, points) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _ladder_maps(n: int, N: int, axis: int):
-    """Gather indices and sqrt factors for the coefficient ladder on one axis.
+    """Gather indices and sqrt factors for the coefficient ladder on one axis,
+    as {direction: (src, fac)} with out[beta] = fac[beta] * c[src[beta]]:
 
     lower: out[beta] = sqrt(2 beta_j + 2) * c[beta + e_j]
     raise: out[beta] = sqrt(2 beta_j)     * c[beta - e_j]
 
     alpha -> alpha + e_j preserves the graded order, so the indices with
-    alpha_j >= 1 are, in order, the images of the indices with |alpha| < N.
+    alpha_j >= 1 are, in order, the images of the graded prefix |alpha| < N.
+    A source of -1 marks an output with no source (factor 0).
     """
-    alpha = index_array(n, N)
-    aj = alpha[:, axis - 1]
-    below = np.flatnonzero(alpha.sum(axis=1) < N)
+    aj = index_array(n, N)[:, axis - 1]
+    below = np.arange(index_count(n, N - 1))
     above = np.flatnonzero(aj >= 1)
-    low_src = np.full(alpha.shape[0], -1, dtype=np.int64)
+    low_src = np.full(aj.size, -1, dtype=np.int64)
     low_src[below] = above
-    hi_src = np.full(alpha.shape[0], -1, dtype=np.int64)
+    hi_src = np.full(aj.size, -1, dtype=np.int64)
     hi_src[above] = below
-    low_fac = np.where(low_src >= 0, np.sqrt(2.0 * aj + 2.0), 0.0)
-    hi_fac = np.where(hi_src >= 0, np.sqrt(2.0 * aj), 0.0)
-    for arr in (low_src, low_fac, hi_src, hi_fac):
-        arr.setflags(write=False)
-    return low_src, low_fac, hi_src, hi_fac
+    maps = {"lower": (low_src, np.where(low_src >= 0, np.sqrt(2.0 * aj + 2.0), 0.0)),
+            "raise": (hi_src, np.where(hi_src >= 0, np.sqrt(2.0 * aj), 0.0))}
+    for pair in maps.values():
+        for arr in pair:
+            arr.setflags(write=False)
+    return maps
 
 
 def ladder_factor_squared(alpha_j: int, direction: str) -> int:
@@ -429,24 +430,14 @@ def ladder(v: SpectralVector, direction: str, axis: int = 1) -> SpectralVector:
     """Coefficient action of the first-order operators d/dx_j + x_j (lower)
     and -d/dx_j + x_j (raise) in the paper-h system; exact in coefficients.
 
-    Raising at the top grade |alpha| = N drops the overflowing coefficients;
-    the dropped L^2 mass is recorded in ``truncation_loss`` on the result.
+    Raising at the top grade |alpha| = N drops the overflowing coefficients.
     """
     if not 1 <= axis <= v.dim:
         raise ValueError(f"axis must be in 1..{v.dim}, got {axis}")
-    low_src, low_fac, hi_src, hi_fac = _ladder_maps(v.dim, v.truncation, axis)
-    c = v.coeffs
-    if direction == "lower":
-        out = np.where(low_src >= 0, low_fac * c[low_src], 0.0 + 0.0j)
-        return v.with_coeffs(out)
-    if direction == "raise":
-        out = np.where(hi_src >= 0, hi_fac * c[hi_src], 0.0 + 0.0j)
-        # mass that would have landed above the cutoff
-        alpha = index_array(v.dim, v.truncation)
-        top = alpha.sum(axis=1) == v.truncation
-        dropped = np.abs(c[top]) ** 2 * (2.0 * alpha[top, axis - 1] + 2.0)
-        return v.with_coeffs(out, loss=float(np.sqrt(dropped.sum())))
-    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    if direction not in ("lower", "raise"):
+        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    src, fac = _ladder_maps(v.dim, v.truncation, axis)[direction]
+    return v.with_coeffs(np.where(src >= 0, fac * v.coeffs[src], 0.0 + 0.0j))
 
 
 def convert_convention(v: SpectralVector, target: Convention) -> SpectralVector:
@@ -471,6 +462,5 @@ def random_vector(n: int, N: int, convention: Convention, seed: int,
     count = index_count(n, N)
     c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     if band is not None:
-        orders = index_array(n, N).sum(axis=1)
-        c = np.where(orders <= band, c, 0.0)
+        c[index_count(n, band):] = 0.0
     return SpectralVector(n, N, convention, c / np.linalg.norm(c))

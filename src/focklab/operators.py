@@ -58,12 +58,11 @@ from .hermite import (
     SpectralVector,
     basis_table,
     gauss_hermite,
-    index_array,
     synthesize,
 )
 from .multipliers import MultiplierSpec
 from .spaces import eigenvalues
-from .transforms import OperatorMatrix
+from .transforms import OperatorMatrix, _fourier_phases
 
 __all__ = [
     "SymbolSpec",
@@ -305,8 +304,7 @@ def conjugated_multiplier_matrix(m: MultiplierSpec, N: int) -> OperatorMatrix:
     matrix, which is the coefficient form of wrapping the multiplier in the
     inverse/forward transforms and moving to the monomial basis."""
     Mm = multiplier_matrix(m, N)
-    k = index_array(Mm.dim, N).sum(axis=1)
-    u = (-1j) ** k
+    u = _fourier_phases(Mm.dim, N)
     ent = np.conj(u)[:, None] * Mm.entries * u[None, :]
     return OperatorMatrix(N, Mm.dim, ent, Convention.FOCK)
 

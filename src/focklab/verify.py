@@ -97,7 +97,7 @@ __all__ = ["VerifyContext", "CHECKS", "CHECK_IDS", "TOLERANCES", "run_suite"]
 class VerifyContext:
     seed: int = 2718
     tol_overrides: dict[str, float] = field(default_factory=dict)
-    growth: float | None = None
+    growth: float | None = field(default=None, init=False, repr=False)
 
     def tol(self, key: str) -> float:
         default = TOLERANCES[key]  # KeyError on an undeclared key
@@ -732,7 +732,7 @@ def check_symbol_closed_forms(ctx: VerifyContext, cid: str) -> ReportRecord:
     return _record(cid, worst <= tol, worst, tol)
 
 
-@check("operators.symbol-roundtrip", tol=1e-9, sub={"bump": 1e-5})
+@check("operators.symbol-roundtrip", tol=1e-9, sub={"bump": 1e-10})
 def check_symbol_roundtrip(ctx: VerifyContext, cid: str) -> ReportRecord:
     tol = ctx.tol(cid)
     mc = modulation(0.7)
@@ -827,10 +827,13 @@ def check_norm_identity(ctx: VerifyContext, cid: str) -> ReportRecord:
     return _record(cid, ok, errs, tol, sup=1.0)
 
 
-@check("operators.commutation", tol=1e-5)
+@check("operators.commutation", tol=1e-11)
 def check_commutation(ctx: VerifyContext, cid: str) -> ReportRecord:
+    """The conjugated bump multiplier commutes with real Weyl shifts on the
+    interior block.  N = 64 puts the product of sections at rounding
+    (5.2e-14); at N = 32 it reads the truncation (3.0e-6)."""
     tol = ctx.tol(cid)
-    N = 32
+    N = 64
     A = conjugated_multiplier_matrix(bump(), N)
     worst = 0.0
     for a in (0.3, 0.7, 1.0):

@@ -319,6 +319,20 @@ class TestLadderIdentities:
         tails = [leibniz_check(f, g, projection_truncation=T)[1] for T in (32, 48, 64)]
         assert tails[1] <= 0.5 * tails[0] and tails[2] <= 0.5 * tails[1]
 
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_leibniz_two_dimensions(self, axis):
+        # the inner defect reads 3-4e-16 on either axis
+        f = random_vector(2, 4, Convention.PAPER_H, 14)
+        g = random_vector(2, 4, Convention.PAPER_H, 15)
+        assert leibniz_check(f, g, axis)[0] <= 1e-14
+
+    def test_leibniz_refuses_other_conventions(self):
+        f = random_vector(1, 4, Convention.PAPER_H, 14)
+        g = random_vector(1, 4, Convention.BARGMANN_H, 15)
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="paper-h"):
+                leibniz_check(a, b)
+
     def test_fractional_shift_calculus(self):
         v = random_vector(1, 20, Convention.PAPER_H, 16)
         for sigma in (0.5, 1.0, -0.3):

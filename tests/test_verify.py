@@ -209,13 +209,13 @@ PINNED = {
     "transforms.ladder-shift": 1e-12,
     "operators.symbol-closed-forms": 1e-12,
     "operators.symbol-roundtrip": 1e-09,
-    "operators.symbol-roundtrip.bump": 1e-05,
+    "operators.symbol-roundtrip.bump": 1e-10,
     "operators.reproducing": 1e-12,
     "operators.reproducing.linearity": 1e-13,
     "operators.theorem-matrix": 1e-12,
     "operators.modulation-weyl": 1e-12,
     "operators.norm-identity": 0.05,
-    "operators.commutation": 1e-05,
+    "operators.commutation": 1e-11,
     "operators.norm-transport": 1e-13,
     "operators.multiplier-matrix": 1e-12,
 }
