@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import CalibrationError
 from .multipliers import bump, chirp43, constant, signum
 from .operators import (
+    _PROBE_LADDER,
     _classical_norm,
     _growth_ratios,
     conjugated_multiplier_matrix,
@@ -103,7 +104,7 @@ def run_calibration(verbose: bool = False) -> tuple[dict[str, float], dict[str, 
             print(msg, flush=True)
 
     # --- growth sequences over the probe truncations
-    Ns = (8, 16, 32, 64)
+    Ns = _PROBE_LADDER
     stable_ratios: list[float] = []
     growing_ratios: list[float] = []
 

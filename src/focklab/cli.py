@@ -34,6 +34,7 @@ from .errors import AccuracyWarning, ConfigError, FockLabError
 from .hermite import MAX_QUADRATURE_ORDER
 from .multipliers import parse_multiplier
 from .operators import (
+    _PROBE_LADDER,
     _truncation_ladder,
     boundedness_probe,
     classical_sobolev_probe,
@@ -41,7 +42,7 @@ from .operators import (
     multiplier_matrix,
     symbol_from_multiplier,
 )
-from .reporting import ReportRecord, emit_csv, emit_json, summarize
+from .reporting import RECORD_COLUMNS, ReportRecord, emit_csv, emit_json, record_row, summarize
 from .transforms import OperatorMatrix, translation_matrix, weyl_matrix
 
 __all__ = ["main"]
@@ -180,6 +181,14 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _emit(args, records: list[ReportRecord], config: dict, header, rows) -> None:
+    """Write a command's report in its ``--format``: the records under
+    ``config`` as JSON, or ``rows`` under ``header`` as CSV."""
+    text = emit_json(records, config, _timestamp()) if args.fmt == "json" \
+        else emit_csv(header, rows)
+    _write(args.out, text)
+
+
 def _provenance() -> dict:
     """The package and numpy versions and the calibration file the checks
     read, with its SHA-256 (None when the file is missing)."""
@@ -207,9 +216,7 @@ def cmd_verify(args) -> int:
         print(f"[{r.status:4s}] {r.check_id}  ({r.wall_ms:.0f} ms)", file=sys.stderr)
     config = {"format": args.fmt, "seed": args.seed, "tol_overrides": tols,
               "provenance": _provenance()}
-    text = emit_json(records, config, _timestamp()) if args.fmt == "json" \
-        else emit_csv(records)
-    _write(args.out, text)
+    _emit(args, records, config, RECORD_COLUMNS, map(record_row, records))
     sm = summarize(records)
     print(f"{sm['passed']}/{sm['total']} checks passed", file=sys.stderr)
     return 0 if sm["failed"] == 0 else 1
@@ -275,20 +282,15 @@ def cmd_symbol(args) -> int:
     if flagged:
         print(f"{flagged} of {len(zz)} points inconclusive: symbol orders {q} and {q_ref} "
               f"differ there by more than {SYMBOL_TOL:g} relative", file=sys.stderr)
-    if args.fmt == "csv":
-        lines = ["re_z,im_z,re_phi,im_phi,order_diff_rel"]
-        lines += [f"{float(z.real)!r},{float(z.imag)!r},{float(v.real)!r},{float(v.imag)!r},"
-                  f"{float(d)!r}" for z, v, d in zip(zz, vals, diffs)]
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        config = {"multiplier": args.multiplier, "quad_order": q,
-                  "reference_order": q_ref, "format": args.fmt}
-        _write(args.out, emit_json(records, config, _timestamp()))
+    config = {"multiplier": args.multiplier, "quad_order": q,
+              "reference_order": q_ref, "format": args.fmt}
+    _emit(args, records, config, ("re_z", "im_z", "re_phi", "im_phi", "order_diff_rel"),
+          (list(r.measured.values()) for r in records))
     return 0
 
 
 def cmd_probe(args) -> int:
-    N_list = args.N_list or [8, 16, 32, 64]
+    N_list = args.N_list or _PROBE_LADDER
     try:
         _truncation_ladder(N_list)
         m = parse_multiplier(args.multiplier)
@@ -302,16 +304,10 @@ def cmd_probe(args) -> int:
                             status="pass" if r.classification != "inconclusive"
                             else "inconclusive",
                             measured=r.as_dict()) for r in reports]
-    if args.fmt == "csv":
-        lines = ["multiplier,side,s,N,norm"]
-        for r in reports:
-            for N, vv in zip(r.N_list, r.values):
-                lines.append(f"{r.multiplier},{r.side},{r.s!r},{N},{vv!r}")
-        _write(args.out, "\n".join(lines) + "\n")
-    else:
-        config = {"multiplier": args.multiplier, "s": args.s, "N": N_list,
-                  "format": args.fmt}
-        _write(args.out, emit_json(records, config, _timestamp()))
+    config = {"multiplier": args.multiplier, "s": args.s, "N": N_list, "format": args.fmt}
+    _emit(args, records, config, ("multiplier", "side", "s", "N", "norm"),
+          ([r.multiplier, r.side, r.s, N, v] for r in reports
+           for N, v in zip(r.N_list, r.values)))
     return 0
 
 

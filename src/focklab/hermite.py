@@ -220,20 +220,23 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, w, W
 
 
+def _cartesian(a: np.ndarray, dim: int) -> np.ndarray:
+    """Every dim-tuple of entries of ``a`` as a row of the (len(a)^dim, dim)
+    array, the last coordinate running fastest: the lattice of every
+    tensor-product rule, mesh and cell set in the package."""
+    mesh = np.meshgrid(*([a] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 @lru_cache(maxsize=None)
 def _gauss_hermite(order: int, scale: float, dim: int) -> QuadratureGrid:
     x, w, W = _hermite_rule(order)
     rt = math.sqrt(scale)
     ax = x / rt
     aw = w / rt
-
-    def tensor(a):
-        mesh = np.meshgrid(*([a] * dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    nodes = tensor(ax)
-    weights = np.prod(tensor(aw), axis=1)
-    dx_weights = np.prod(tensor(W / rt), axis=1)
+    nodes = _cartesian(ax, dim)
+    weights = np.prod(_cartesian(aw, dim), axis=1)
+    dx_weights = np.prod(_cartesian(W / rt, dim), axis=1)
     for a in (ax, aw, nodes, weights, dx_weights):
         a.setflags(write=False)
     return QuadratureGrid(order=order, dim=dim, scale=scale, axis_nodes=ax,
@@ -305,11 +308,13 @@ def basis_table(n: int, N: int, points: np.ndarray, convention: Convention) -> n
     tabs = [hermite_axis_table(N, points[:, j], convention) for j in range(n)]
     if n == 1:  # the graded order is the axis order
         return tabs[0]
-    alpha = index_array(n, N)
-    out = tabs[0][alpha[:, 0]]
-    for j in range(1, n):
-        out = out * tabs[j][alpha[:, j]]
-    return out
+    return _graded_product(tabs, N)
+
+
+def _graded_product(tables: list[np.ndarray], N: int) -> np.ndarray:
+    """Row alpha (|alpha| <= N, graded) is the product over axes j of
+    tables[j][alpha_j]; ``math.prod`` starts it from the integer 1."""
+    return math.prod(t[a] for t, a in zip(tables, index_array(len(tables), N).T))
 
 
 @dataclass(frozen=True)
@@ -387,30 +392,24 @@ def synthesize(v: SpectralVector, points) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ladder_maps(n: int, N: int, axis: int):
-    """Gather indices and sqrt factors for the coefficient ladder on one axis,
-    as {direction: (src, fac)} with out[beta] = fac[beta] * c[src[beta]]:
+def _ladder_maps(n: int, N: int, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(below, above, fac) for the coefficient ladder on one axis: the
+    indices of |beta| < N, of their images beta + e_j and sqrt(2 beta_j + 2):
 
-    lower: out[beta] = sqrt(2 beta_j + 2) * c[beta + e_j]
-    raise: out[beta] = sqrt(2 beta_j)     * c[beta - e_j]
+    lower: out[below] = fac * c[above]    (sqrt(2 beta_j + 2) c[beta + e_j])
+    raise: out[above] = fac * c[below]    (sqrt(2 alpha_j) c[alpha - e_j])
 
-    alpha -> alpha + e_j preserves the graded order, so the indices with
-    alpha_j >= 1 are, in order, the images of the graded prefix |alpha| < N.
-    A source of -1 marks an output with no source (factor 0).
+    and every other output is 0.  alpha -> alpha + e_j preserves the graded
+    order, so the indices with alpha_j >= 1 are, in order, the images of the
+    graded prefix |alpha| < N.
     """
     aj = index_array(n, N)[:, axis - 1]
     below = np.arange(index_count(n, N - 1))
     above = np.flatnonzero(aj >= 1)
-    low_src = np.full(aj.size, -1, dtype=np.int64)
-    low_src[below] = above
-    hi_src = np.full(aj.size, -1, dtype=np.int64)
-    hi_src[above] = below
-    maps = {"lower": (low_src, np.where(low_src >= 0, np.sqrt(2.0 * aj + 2.0), 0.0)),
-            "raise": (hi_src, np.where(hi_src >= 0, np.sqrt(2.0 * aj), 0.0))}
-    for pair in maps.values():
-        for arr in pair:
-            arr.setflags(write=False)
-    return maps
+    fac = np.sqrt(2.0 * aj[above])
+    for arr in (below, above, fac):
+        arr.setflags(write=False)
+    return below, above, fac
 
 
 def ladder_factor_squared(alpha_j: int, direction: str) -> int:
@@ -432,12 +431,18 @@ def ladder(v: SpectralVector, direction: str, axis: int = 1) -> SpectralVector:
 
     Raising at the top grade |alpha| = N drops the overflowing coefficients.
     """
+    if v.convention is not Convention.PAPER_H:
+        raise ValueError(f"the ladder acts in the paper-h system, got a "
+                         f"{v.convention.value} vector")
     if not 1 <= axis <= v.dim:
         raise ValueError(f"axis must be in 1..{v.dim}, got {axis}")
     if direction not in ("lower", "raise"):
         raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    src, fac = _ladder_maps(v.dim, v.truncation, axis)[direction]
-    return v.with_coeffs(np.where(src >= 0, fac * v.coeffs[src], 0.0 + 0.0j))
+    below, above, fac = _ladder_maps(v.dim, v.truncation, axis)
+    dst, src = (below, above) if direction == "lower" else (above, below)
+    out = np.zeros_like(v.coeffs)
+    out[dst] = fac * v.coeffs[src]
+    return v.with_coeffs(out)
 
 
 def convert_convention(v: SpectralVector, target: Convention) -> SpectralVector:

@@ -97,23 +97,15 @@ def bump(width: float = 1.0) -> MultiplierSpec:
     return MultiplierSpec("bump" if width == 1.0 else f"bump:{width:g}", ev)
 
 
-REGISTRY: dict[str, Callable[..., MultiplierSpec]] = {
-    "constant": constant,
-    "modulation": modulation,
-    "signum": signum,
-    "chirp43": chirp43,
-    "bump": bump,
-}
-
-
-# (fewest, most) parameters an identifier may give each entry; every
-# identifier consumer is one-dimensional, so a modulation has one component
-_PARAM_COUNTS = {
-    "constant": (0, 1),
-    "modulation": (1, 1),
-    "signum": (0, 0),
-    "chirp43": (0, 0),
-    "bump": (0, 1),
+# name -> (constructor, fewest, most parameters an identifier may give it);
+# every identifier consumer is one-dimensional, so a modulation has one
+# component
+REGISTRY: dict[str, tuple[Callable[..., MultiplierSpec], int, int]] = {
+    "constant": (constant, 0, 1),
+    "modulation": (modulation, 1, 1),
+    "signum": (signum, 0, 0),
+    "chirp43": (chirp43, 0, 0),
+    "bump": (bump, 0, 1),
 }
 
 
@@ -129,9 +121,9 @@ def parse_multiplier(ident: str) -> MultiplierSpec:
     vals = [float(p) for p in arg.split(",")] if arg else []
     if not np.isfinite(vals).all():
         raise ValueError(f"multiplier parameters must be finite; got {arg!r}")
-    lo, hi = _PARAM_COUNTS[name]
+    make, lo, hi = REGISTRY[name]
     if not lo <= len(vals) <= hi:
         want = ("no parameters" if hi == 0 else "exactly one parameter" if lo == 1
                 else "at most one parameter")
         raise ValueError(f"multiplier {name!r} takes {want}; got {len(vals)} in {ident!r}")
-    return REGISTRY[name](*vals)
+    return make(*vals)

@@ -37,6 +37,7 @@ two routes still share no code.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ from .hermite import (
     Convention,
     QuadratureGrid,
     SpectralVector,
+    _cartesian,
     basis_table,
     gauss_hermite,
     synthesize,
@@ -174,7 +176,7 @@ def _complex_mesh(grid2n: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_integral_operator(sym: SymbolSpec, F, z, grid2n: QuadratureGrid) -> np.ndarray:
     """Literal quadrature of  Int F(w) e^{z.conj(w)} phi(z - conj(w)) dmu(w)
-    at one or more points z; F is a fock-tagged vector or a callable.
+    at one or more points z; F is a fock-tagged vector.
 
     The sum runs over every mesh node.  On the x-major tensor mesh
     w = x + iy the argument is z - conj(w) = (z - x) + iy, so the symbol's
@@ -189,13 +191,10 @@ def apply_integral_operator(sym: SymbolSpec, F, z, grid2n: QuadratureGrid) -> np
     finite at some node: the plane waves outgrow double precision once the
     mesh reaches far beyond the symbol's node range.
     """
+    if not isinstance(F, SpectralVector) or F.convention is not Convention.FOCK:
+        raise ValueError("F must be a fock-tagged vector")
     w, wts = _complex_mesh(grid2n)
-    if isinstance(F, SpectralVector):
-        if F.convention is not Convention.FOCK:
-            raise ValueError("F must be fock-tagged")
-        Fv = synthesize(F, w)
-    else:
-        Fv = np.asarray(F(w), dtype=complex)
+    Fv = synthesize(F, w)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     wbar = np.conj(w)
     edge = _edge_mask(grid2n)
@@ -369,12 +368,7 @@ class GrowthReport:
     classification: str
 
     def as_dict(self) -> dict:
-        return {
-            "multiplier": self.multiplier, "side": self.side, "s": self.s,
-            "N_list": list(self.N_list), "values": list(self.values),
-            "last_first": self.last_first, "max_min": self.max_min,
-            "classification": self.classification,
-        }
+        return dataclasses.asdict(self)
 
 
 def _growth_ratios(values: Sequence[float]) -> tuple[float, float]:
@@ -400,6 +394,9 @@ def classify_growth(values: Sequence[float], threshold: float) -> str:
 
 # multiplier_matrix's default rule has order 2N + 16, and the rules stop there
 _MAX_PROBE_N = (MAX_QUADRATURE_ORDER - 16) // 2
+# the truncations every probe runs unless told otherwise: the CLI default,
+# the operators.probes check and the calibration sequences
+_PROBE_LADDER = (8, 16, 32, 64)
 
 
 def _truncation_ladder(N_list: Sequence[int]) -> tuple[int, ...]:
@@ -584,8 +581,7 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
 
 
 def _edge_mask(grid2n: QuadratureGrid) -> np.ndarray:
+    """The nodes of the outermost ring: some axis index is 0 or Q - 1."""
     Q = grid2n.order
-    idx = np.arange(grid2n.nodes.shape[0])
-    i0 = idx // Q
-    i1 = idx % Q
-    return (i0 == 0) | (i0 == Q - 1) | (i1 == 0) | (i1 == Q - 1)
+    idx = _cartesian(np.arange(Q), grid2n.dim)
+    return ((idx == 0) | (idx == Q - 1)).any(axis=1)

@@ -75,19 +75,22 @@ def _scalarize(x) -> str:
     return str(x)
 
 
-def emit_csv(records: list[ReportRecord]) -> str:
+RECORD_COLUMNS = ("check_id", "status", "measured", "tolerance", "wall_ms", "inputs")
+
+
+def record_row(r: ReportRecord) -> list[str]:
+    """A verify record's CSV row, under ``RECORD_COLUMNS``."""
+    return [r.check_id, r.status, _scalarize(r.measured),
+            "" if r.tolerance is None else repr(r.tolerance), repr(round(r.wall_ms, 3)),
+            json.dumps(r.inputs, sort_keys=True, default=_jsonable)]
+
+
+def emit_csv(header, rows) -> str:
+    """``rows`` under ``header`` as CSV; Python floats print as their ``repr``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["check_id", "status", "measured", "tolerance", "wall_ms", "inputs"])
-    for r in records:
-        w.writerow([
-            r.check_id,
-            r.status,
-            _scalarize(r.measured),
-            "" if r.tolerance is None else repr(r.tolerance),
-            repr(round(r.wall_ms, 3)),
-            json.dumps(r.inputs, sort_keys=True, default=_jsonable),
-        ])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
 
 

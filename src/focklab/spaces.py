@@ -16,7 +16,6 @@ lattice cells.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .errors import AccuracyWarning, DivergenceError, EvaluationRangeError
 from .hermite import (
     Convention,
     SpectralVector,
+    _cartesian,
     basis_table,
     gauss_hermite,
     hermite_axis_table,
@@ -302,8 +302,7 @@ class PartitionBump:
         """Sigma_m eta(x + m) over every lattice point m whose cell meets x."""
         x = np.asarray(x, dtype=float).reshape(-1, self.dim)
         K = int(np.ceil(np.abs(x).max())) + 3
-        return sum(self(x + np.array(m))
-                   for m in itertools.product(range(-K, K + 1), repeat=self.dim))
+        return sum(self(x + m) for m in _cartesian(np.arange(-K, K + 1.0), self.dim))
 
     def squared_sum_range(self) -> tuple[float, float]:
         """min/max over one period of Sigma_m eta_m(x)^2 (1D axis); the s = 0
@@ -325,7 +324,7 @@ def _localization_tables(bump: PartitionBump, convention: Convention, N2: int, M
     mask (all read-only)."""
     n, w = bump.dim, convention.weight_exponent
     grid = gauss_hermite(N2 + 24, float(w), n)
-    cells = np.array(list(itertools.product(range(-M, M + 1), repeat=n)), dtype=float)
+    cells = _cartesian(np.arange(-M, M + 1.0), n)
     E = bump(grid.nodes[None, :, :] + cells[:, None, :]).reshape(len(cells), -1)
     P = basis_table(n, N2, grid.nodes, convention)
     edge = np.abs(cells).max(axis=1) == M

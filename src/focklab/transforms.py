@@ -27,6 +27,7 @@ from .hermite import (
     Convention,
     QuadratureGrid,
     SpectralVector,
+    _graded_product,
     basis_table,
     gauss_hermite,
     index_array,
@@ -242,9 +243,10 @@ def _weyl_axis(a: complex, N: int) -> np.ndarray:
 
 def _tensor_assemble(axes: list[np.ndarray], N: int) -> np.ndarray:
     """Matrix of the tensor product of 1D axis matrices on the graded basis:
-    entry (alpha, beta) is the product over axes j of axes[j][alpha_j, beta_j]."""
-    alpha = index_array(len(axes), N)
-    return math.prod(A[np.ix_(alpha[:, j], alpha[:, j])] for j, A in enumerate(axes))
+    entry (alpha, beta) is the product over axes j of axes[j][alpha_j, beta_j],
+    the graded product of the tables whose column beta is axes[j][:, beta_j]."""
+    beta = index_array(len(axes), N)
+    return _graded_product([A[:, b] for A, b in zip(axes, beta.T)], N)
 
 
 def weyl_matrix(a, N: int) -> OperatorMatrix:
@@ -274,7 +276,7 @@ def translation_ladder_check(a, axis: int, v: SpectralVector) -> float:
     = tau_a [ (d/dx_j + x_j) + a_j ]  on the interior coefficients.
 
     Stated for the paper-h system, whose ladder has the clean shift constant
-    a_j.
+    a_j; ``ladder`` refuses vectors in the other systems.
     """
     av = np.atleast_1d(np.asarray(a, dtype=float))
     T = translation_matrix(av, v.truncation, Convention.PAPER_H)
@@ -294,11 +296,9 @@ def leibniz_check(f: SpectralVector, g: SpectralVector, axis: int = 1,
     Both routes are compared on coefficient orders <= T-1 where T is the
     projection truncation (default 2N): lowering a T-truncated expansion is
     only faithful below the top grade, whose mismatch is returned separately
-    as the top-grade defect (it decays as T grows).
+    as the top-grade defect (it decays as T grows).  ``ladder`` refuses
+    factors in the other systems.
     """
-    if f.convention is not Convention.PAPER_H or g.convention is not Convention.PAPER_H:
-        raise ValueError("the product rule is stated for paper-h factors; "
-                         "convert the vectors first")
     if f.dim != g.dim:
         raise ValueError("factors live on different dimensions")
     n = f.dim
@@ -312,10 +312,10 @@ def leibniz_check(f: SpectralVector, g: SpectralVector, axis: int = 1,
     def xs(pts):
         return pts if n == 1 else pts[:, axis - 1]
 
-    fg = proj(lambda x: synthesize(f, x) * synthesize(g, x))
-    lhs = ladder(fg, "lower", axis).coeffs
     Hf = ladder(f, "lower", axis)
     Hg = ladder(g, "lower", axis)
+    fg = proj(lambda x: synthesize(f, x) * synthesize(g, x))
+    lhs = ladder(fg, "lower", axis).coeffs
     rhs = (proj(lambda x: synthesize(Hf, x) * synthesize(g, x)).coeffs
            + proj(lambda x: synthesize(f, x) * synthesize(Hg, x)).coeffs
            - proj(lambda x: xs(x) * synthesize(f, x) * synthesize(g, x)).coeffs)

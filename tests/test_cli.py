@@ -269,6 +269,29 @@ def test_csv_json_values_agree(tmp_path):
     assert measured_csv == measured_json  # repr round-trip: exact equality
 
 
+def test_probe_csv_rows_match_the_json_norms(tmp_path):
+    j, c = tmp_path / "p.json", tmp_path / "p.csv"
+    for fmt, out in (("json", j), ("csv", c)):
+        run_cli("probe", "--multiplier", "bump:0.9", "--s", "0.5", "--N", "8", "--N", "16",
+                "--classical", "--format", fmt, "--out", str(out))
+    want = ["multiplier,side,s,N,norm"]
+    for r in json.loads(j.read_text())["records"]:
+        m = r["measured"]
+        want += [f"bump:0.9,{m['side']},0.5,{N},{v!r}" for N, v in zip(m["N_list"], m["values"])]
+    assert c.read_text() == "\n".join(want) + "\n"
+
+
+def test_symbol_csv_rows_match_the_json_records(tmp_path):
+    j, c = tmp_path / "s.json", tmp_path / "s.csv"
+    for fmt, out in (("json", j), ("csv", c)):
+        run_cli("symbol", "--multiplier", "bump", "--z-re=-1:1:2", "--z-im=0:1:2",
+                "--format", fmt, "--out", str(out))
+    keys = ("re_z", "im_z", "re_phi", "im_phi", "order_diff_rel")
+    want = [",".join(keys)] + [",".join(repr(r["measured"][k]) for k in keys)
+                               for r in json.loads(j.read_text())["records"]]
+    assert c.read_text() == "\n".join(want) + "\n"
+
+
 def test_symbol_constant(tmp_path):
     out = tmp_path / "s.csv"
     run_cli("symbol", "--multiplier", "constant:1", "--format", "csv",

@@ -12,6 +12,8 @@ from scipy.integrate import quad
 from focklab.errors import EvaluationRangeError, FockLabError
 from focklab.hermite import (
     Convention,
+    _cartesian,
+    _graded_product,
     SpectralVector,
     convert_convention,
     eval_hermite,
@@ -92,6 +94,22 @@ class TestIndexArray:
             with pytest.raises(FockLabError, match=r"n=2, N=4") as exc:
                 lookup()
             assert repr(alpha) in str(exc.value)
+
+
+class TestTensorLayout:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cartesian_runs_the_last_coordinate_fastest(self, dim):
+        a = np.array([-1.5, 0.0, 2.0, 7.0])
+        want = np.array(list(itertools.product(a, repeat=dim)))
+        np.testing.assert_array_equal(_cartesian(a, dim), want)
+
+    @pytest.mark.parametrize("n,N", [(1, 6), (2, 5), (3, 4)])
+    def test_graded_product_multiplies_axis_rows(self, n, N):
+        rng = np.random.default_rng(n)
+        tables = [rng.standard_normal((N + 1, 3)) for _ in range(n)]
+        want = np.array([math.prod(t[k] for t, k in zip(tables, alpha))
+                         for alpha in _graded_reference(n, N)])
+        np.testing.assert_array_equal(_graded_product(tables, N), want)
 
 
 class TestEvaluation:
@@ -255,6 +273,13 @@ class TestLadder:
                 want = np.array([out.get(a, 0.0) for a in labels])
                 got = ladder(v, direction, axis)
                 np.testing.assert_allclose(got.coeffs, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("convention", [Convention.FOCK, Convention.BARGMANN_H])
+    def test_refuses_the_other_systems(self, convention):
+        v = random_vector(1, 8, convention, 1)
+        for direction in ("lower", "raise"):
+            with pytest.raises(ValueError, match="paper-h"):
+                ladder(v, direction)
 
     def test_multi_axis(self):
         v = SpectralVector.unit(2, 4, Convention.PAPER_H, (1, 2))

@@ -68,6 +68,14 @@ def test_parse_multiplier():
     assert set(REGISTRY) == {"constant", "modulation", "signum", "chirp43", "bump"}
 
 
+def test_registry_holds_constructor_and_parameter_counts():
+    counts = {name: (lo, hi) for name, (_, lo, hi) in REGISTRY.items()}
+    assert counts == {"constant": (0, 1), "modulation": (1, 1), "signum": (0, 0),
+                      "chirp43": (0, 0), "bump": (0, 1)}
+    for name, (make, lo, _) in REGISTRY.items():
+        assert make(*[0.5] * lo).label.startswith(name)
+
+
 @pytest.mark.parametrize("ident", ["signum:1", "chirp43:2", "bump:1,2", "constant:1,2",
                                    "modulation", "modulation:0.5,0.5"])
 def test_parse_multiplier_checks_parameter_count(ident):

@@ -171,6 +171,13 @@ class TestIntegralOperator:
         want = apply_pointwise(sym, v, zs, grid_c)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
+    def test_F_must_be_a_fock_vector(self, grid_c):
+        sym = symbol_from_multiplier(constant(1.0))
+        v = random_vector(1, 6, Convention.FOCK, 1)
+        for F in (lambda w: synthesize(v, w), random_vector(1, 6, Convention.BARGMANN_H, 1)):
+            with pytest.raises(ValueError, match="fock-tagged vector"):
+                apply_integral_operator(sym, F, 0.3, grid_c)
+
     def test_non_finite_symbol_raises(self):
         # e^{-2 t y} overflows: mesh nodes reach |y| ~ 19, symbol nodes |t| ~ 22
         sym = symbol_from_multiplier(bump(), quad_order=512)

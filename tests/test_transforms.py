@@ -286,6 +286,11 @@ class TestLadderIdentities:
         v = SpectralVector.unit(1, 16, Convention.PAPER_H, 2)
         assert translation_ladder_check(np.zeros(1), 1, v) <= 1e-13
 
+    def test_translation_ladder_refuses_fock_vectors(self):
+        v = random_vector(1, 8, Convention.FOCK, 1)
+        with pytest.raises(ValueError, match="paper-h"):
+            translation_ladder_check(0.3, 1, v)
+
     def test_translation_ladder_first_order(self):
         v = SpectralVector.unit(1, 32, Convention.PAPER_H, 2)
         assert translation_ladder_check(np.array([0.5]), 1, v) <= 1e-6

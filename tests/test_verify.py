@@ -39,6 +39,14 @@ def _measured(cid):
     return rec.measured
 
 
+def test_kappa_record_reads_the_contraction():
+    # lhs / (kappa ||v||) - 1 is a rounding error: equality holds exactly
+    assert abs(_measured("spaces.kappa")["contraction"]) <= 1e-15
+    rec, = run_suite(VerifyContext(tol_overrides={"spaces.kappa.contraction": -1e-3}),
+                     only="spaces.kappa")
+    assert rec.status == "fail"
+
+
 def _polarized_gram(q, K):
     """G[j, k] = <A e_j, A e_k> of the form q(c) = ||A c||^2, by polarization."""
     E = np.eye(K, dtype=complex)
@@ -191,7 +199,7 @@ PINNED = {
     "spaces.heat-semigroup": 1e-13,
     "spaces.square-function": 1e-13,
     "spaces.kappa": 1e-13,
-    "spaces.kappa.contraction": 1e-10,
+    "spaces.kappa.contraction": 1e-13,
     "spaces.partition-sum": 1e-13,
     "spaces.fock-equivalence": 1e-13,
     "spaces.potential-bound": 1e-13,
