@@ -214,8 +214,9 @@ def cmd_verify(args) -> int:
         _fail_config(f"--only {args.only!r} matches no checks")
     for r in records:
         print(f"[{r.status:4s}] {r.check_id}  ({r.wall_ms:.0f} ms)", file=sys.stderr)
-    config = {"format": args.fmt, "seed": args.seed, "tol_overrides": tols,
-              "provenance": _provenance()}
+    config = {"format": args.fmt, "seed": args.seed, "tol_overrides": tols}
+    if args.fmt == "json":  # the one output that carries config
+        config["provenance"] = _provenance()
     _emit(args, records, config, RECORD_COLUMNS, map(record_row, records))
     sm = summarize(records)
     print(f"{sm['passed']}/{sm['total']} checks passed", file=sys.stderr)

@@ -7,6 +7,7 @@ agree to full round-trip precision and byte-identical reruns are possible
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from dataclasses import dataclass, field
@@ -27,16 +28,7 @@ class ReportRecord:
     warnings: list = field(default_factory=list)  # {category, message, count} each
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "status": self.status,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "tolerances": self.tolerances,
-            "inputs": self.inputs,
-            "wall_ms": round(self.wall_ms, 3),
-            "warnings": self.warnings,
-        }
+        return {**dataclasses.asdict(self), "wall_ms": round(self.wall_ms, 3)}
 
 
 def summarize(records: list[ReportRecord]) -> dict:
@@ -56,22 +48,14 @@ def emit_json(records: list[ReportRecord], config: dict, timestamp: str) -> str:
         "records": [r.as_dict() for r in records],
         "summary": summarize(records),
     }
-    return json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n"
-
-
-def _jsonable(x):
-    if hasattr(x, "as_dict"):
-        return x.as_dict()
-    if hasattr(x, "tolist"):
-        return x.tolist()
-    raise TypeError(f"not JSON-serializable: {type(x)}")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _scalarize(x) -> str:
     if isinstance(x, float):
         return repr(x)
     if isinstance(x, (list, tuple, dict)):
-        return json.dumps(x, sort_keys=True, default=_jsonable)
+        return json.dumps(x, sort_keys=True)
     return str(x)
 
 
@@ -82,7 +66,7 @@ def record_row(r: ReportRecord) -> list[str]:
     """A verify record's CSV row, under ``RECORD_COLUMNS``."""
     return [r.check_id, r.status, _scalarize(r.measured),
             "" if r.tolerance is None else repr(r.tolerance), repr(round(r.wall_ms, 3)),
-            json.dumps(r.inputs, sort_keys=True, default=_jsonable)]
+            json.dumps(r.inputs, sort_keys=True)]
 
 
 def emit_csv(header, rows) -> str:

@@ -1,8 +1,13 @@
 """The verification suite behind ``focklab verify``.
 
-Each check measures a defect or a property and returns one ReportRecord;
-the suite exit status is the CLI's contract (0 all pass, 1 any failure).
-Checks are independent and run one after another, in declared order.
+Each check measures a defect or a property and returns ``(ok, measured,
+inputs)``: whether it passed, what it measured, and a dict of the inputs
+worth reporting (``{}`` when there are none).  The runner builds the
+ReportRecord from that and the declaration, so a record's ``tolerance`` is
+always the effective value of the check's own key (None when it declares
+none).  The suite exit status is the CLI's contract (0 all pass, 1 any
+failure).  Checks are independent and run one after another, in declared
+order.
 
 A check is declared once, by ``@check(id, tol=..., sub={...})`` on its
 function: its id, and the tolerance keys it reads with their defaults --
@@ -115,7 +120,7 @@ class VerifyContext:
 
 
 # (id, function, {tolerance key: default}) in run order, filled by @check
-CHECKS: list[tuple[str, Callable[[VerifyContext, str], ReportRecord], dict[str, float]]] = []
+CHECKS: list[tuple[str, Callable[[VerifyContext, str], tuple], dict[str, float]]] = []
 
 
 def check(cid: str, tol: float | None = None, sub: dict[str, float] | None = None):
@@ -128,11 +133,6 @@ def check(cid: str, tol: float | None = None, sub: dict[str, float] | None = Non
         CHECKS.append((cid, fn, tols))
         return fn
     return declare
-
-
-def _record(check_id, ok, measured, tol=None, **inputs) -> ReportRecord:
-    return ReportRecord(check_id=check_id, status="pass" if ok else "fail",
-                        measured=measured, tolerance=tol, inputs=inputs)
 
 
 # Norm-ratio bounds are checked by their exact extremes on the truncated space,
@@ -155,8 +155,7 @@ def _extremes(A: np.ndarray, scale: np.ndarray, conv: Convention, ratio, ends=(0
 # ----------------------------------------------------------------- hermite
 
 @check("hermite.quadrature-moments", tol=1e-12)
-def check_quadrature_moments(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_quadrature_moments(ctx: VerifyContext, cid: str) -> tuple:
     g2 = gauss_hermite(2, 1.0, 1)
     worst = max(
         float(np.abs(np.sort(g2.axis_nodes) - np.array([-1, 1]) / math.sqrt(2)).max()),
@@ -170,12 +169,11 @@ def check_quadrature_moments(ctx: VerifyContext, cid: str) -> ReportRecord:
     g = gauss_hermite(512, 1.0, 1)
     ex = math.gamma(20.5)
     worst = max(worst, abs(float(np.sum(g.weights * g.nodes[:, 0] ** 40)) - ex) / ex)
-    return _record(cid, worst <= tol, worst, tol)
+    return worst <= ctx.tol(cid), worst, {}
 
 
 @check("hermite.orthonormality", tol=1e-12)
-def check_orthonormality(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_orthonormality(ctx: VerifyContext, cid: str) -> tuple:
     worst = 0.0
     for conv in (Convention.PAPER_H, Convention.BARGMANN_H):
         N = 20
@@ -183,26 +181,24 @@ def check_orthonormality(ctx: VerifyContext, cid: str) -> ReportRecord:
         P = basis_table(1, N, g.nodes, conv)
         G = (P * g.dx_weights) @ P.T
         worst = max(worst, float(np.abs(G - np.eye(N + 1)).max()))
-    return _record(cid, worst <= tol, worst, tol, N=20)
+    return worst <= ctx.tol(cid), worst, {"N": 20}
 
 
 @check("hermite.recurrence-values", tol=1e-13)
-def check_recurrence_values(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_recurrence_values(ctx: VerifyContext, cid: str) -> tuple:
     worst = max(
         abs(eval_hermite(0, 0.0, Convention.PAPER_H) - math.pi ** -0.25),
         abs(eval_hermite(1, 0.0, Convention.PAPER_H)),
         abs(eval_hermite(2, 0.0, Convention.PAPER_H) + 1.0 / (math.sqrt(2) * math.pi ** 0.25)),
         abs(eval_hermite(0, 0.0, Convention.BARGMANN_H) - (2 / math.pi) ** 0.25),
     )
-    return _record(cid, worst <= tol, worst, tol)
+    return worst <= ctx.tol(cid), worst, {}
 
 
 @check("hermite.differential-consistency", tol=1e-11)
-def check_differential_consistency(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_differential_consistency(ctx: VerifyContext, cid: str) -> tuple:
     """<(d/dx + x) h_k, h_{k-1}> = sqrt(2k) with the complex-step derivative
     h_k'(x) = Im h_k(x + ih)/h, from function values alone (no ``ladder``)."""
-    tol = ctx.tol(cid)
     g = gauss_hermite(64, 1.0, 1)
     x = g.nodes[:, 0]
     h = 1e-30
@@ -210,14 +206,13 @@ def check_differential_consistency(ctx: VerifyContext, cid: str) -> ReportRecord
     hk, d = tab.real, tab.imag / h
     worst = max(abs(float(np.sum(g.dx_weights * (d[k] + x * hk[k]) * hk[k - 1]))
                     - math.sqrt(2 * k)) for k in range(1, 21))
-    return _record(cid, worst <= tol, worst, tol, k_max=20)
+    return worst <= ctx.tol(cid), worst, {"k_max": 20}
 
 
 @check("hermite.ladder-composition", tol=1e-13)
-def check_ladder_composition(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_ladder_composition(ctx: VerifyContext, cid: str) -> tuple:
     """(1/2)(lower raise + raise lower) = 2k+1: integer-exact on the squared
     factors and tight on the float path."""
-    tol = ctx.tol(cid)
     exact_ok = all(
         Fraction(ladder_factor_squared(k, "raise") + ladder_factor_squared(k, "lower"), 2)
         == 2 * k + 1
@@ -234,14 +229,13 @@ def check_ladder_composition(ctx: VerifyContext, cid: str) -> ReportRecord:
             worst = max(worst, abs(comp[k] - (2 * k + 1)) / (2 * k + 1))
     lowered = ladder(SpectralVector.unit(1, 8, Convention.PAPER_H, 0), "lower")
     raised = ladder(SpectralVector.unit(1, 8, Convention.PAPER_H, 3), "raise")
-    ok = (exact_ok and worst <= tol and lowered.norm() == 0.0
+    ok = (exact_ok and worst <= ctx.tol(cid) and lowered.norm() == 0.0
           and abs(raised.coeffs[4] - math.sqrt(8)) < 1e-15)
-    return _record(cid, ok, {"float_rel": worst, "integer_exact": exact_ok}, tol)
+    return ok, {"float_rel": worst, "integer_exact": exact_ok}, {}
 
 
 @check("hermite.projection-roundtrip", tol=1e-12)
-def check_projection_roundtrip(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_projection_roundtrip(ctx: VerifyContext, cid: str) -> tuple:
     worst = 0.0
     for conv in (Convention.PAPER_H, Convention.BARGMANN_H):
         N = 20
@@ -252,14 +246,13 @@ def check_projection_roundtrip(ctx: VerifyContext, cid: str) -> ReportRecord:
         u = SpectralVector.unit(1, 8, conv, 3)
         w = project(lambda x: synthesize(u, x), 8, gauss_hermite(24, float(conv.weight_exponent), 1), conv)
         worst = max(worst, float(np.abs(w.coeffs - u.coeffs).max()))
-    return _record(cid, worst <= tol, worst, tol)
+    return worst <= ctx.tol(cid), worst, {}
 
 
 @check("hermite.projection-ladder-example", tol=1e-12)
-def check_projection_ladder_example(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_projection_ladder_example(ctx: VerifyContext, cid: str) -> tuple:
     """x * (ground state) projects onto index 1 with weight 1/sqrt(2) in the
     paper-h system and 1/2 in the bargmann-h system (Gaussian-moment values)."""
-    tol = ctx.tol(cid)
     g1 = gauss_hermite(16, 1.0, 1)
     v = project(lambda x: x * hermite_axis_table(0, x, Convention.PAPER_H)[0],
                 8, g1, Convention.PAPER_H)
@@ -268,12 +261,11 @@ def check_projection_ladder_example(ctx: VerifyContext, cid: str) -> ReportRecor
     w = project(lambda x: x * hermite_axis_table(0, x, Convention.BARGMANN_H)[0],
                 8, g2, Convention.BARGMANN_H)
     worst = max(worst, abs(w.coeffs[1] - 0.5))
-    return _record(cid, worst <= tol, worst, tol)
+    return worst <= ctx.tol(cid), worst, {}
 
 
 @check("hermite.convention-roundtrip", tol=1e-13)
-def check_convention_roundtrip(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_convention_roundtrip(ctx: VerifyContext, cid: str) -> tuple:
     v = random_vector(1, 12, Convention.PAPER_H, ctx.rng_seed(cid))
     w = convert_convention(convert_convention(v, Convention.BARGMANN_H), Convention.PAPER_H)
     worst = float(np.abs(w.coeffs - v.coeffs).max())
@@ -281,13 +273,13 @@ def check_convention_roundtrip(ctx: VerifyContext, cid: str) -> ReportRecord:
     worst = max(worst, abs(synthesize(u, 0.0) - math.pi ** -0.25))
     worst = max(worst, abs(synthesize(convert_convention(u, Convention.BARGMANN_H), 0.0)
                            - (2 / math.pi) ** 0.25))
-    return _record(cid, worst <= tol, worst, tol)
+    return worst <= ctx.tol(cid), worst, {}
 
 
 # ------------------------------------------------------------------ spaces
 
 @check("spaces.norm-monotonicity")
-def check_norm_monotonicity(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_norm_monotonicity(ctx: VerifyContext, cid: str) -> tuple:
     ok = True
     worst = 0.0
     for i in range(10):
@@ -299,21 +291,19 @@ def check_norm_monotonicity(ctx: VerifyContext, cid: str) -> ReportRecord:
     ok &= abs(sobolev_norm(v, 1.0) - math.sqrt(5)) < 1e-14
     v2 = SpectralVector.unit(2, 6, Convention.BARGMANN_H, (1, 1))
     ok &= abs(fractional_H(v2, 1.0).coeffs.max() - 6.0) < 1e-14
-    return _record(cid, ok, {"max_norm_seen": worst}, None)
+    return ok, {"max_norm_seen": worst}, {}
 
 
 @check("spaces.fractional-inverse", tol=1e-13)
-def check_fractional_inverse(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_fractional_inverse(ctx: VerifyContext, cid: str) -> tuple:
     v = random_vector(1, 24, Convention.BARGMANN_H, ctx.rng_seed(cid))
     w = fractional_H(fractional_H(v, 1.7), -1.7)
     worst = float(np.abs(w.coeffs - v.coeffs).max())
-    return _record(cid, worst <= tol, worst, tol)
+    return worst <= ctx.tol(cid), worst, {}
 
 
 @check("spaces.heat-semigroup", tol=1e-13)
-def check_heat_semigroup(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_heat_semigroup(ctx: VerifyContext, cid: str) -> tuple:
     v = random_vector(1, 20, Convention.PAPER_H, ctx.rng_seed(cid))
     worst = float(np.abs(heat_semigroup(v, 0.0).coeffs - v.coeffs).max())
     u = SpectralVector.unit(1, 4, Convention.PAPER_H, 0)
@@ -323,16 +313,15 @@ def check_heat_semigroup(ctx: VerifyContext, cid: str) -> ReportRecord:
     worst = max(worst, float(np.abs(a.coeffs - b.coeffs).max()))
     # kernel: converges in N and decays off-diagonal like a Gaussian
     k60 = [heat_kernel_value(N, 1.0, 0.0, 0.0) for N in (20, 40, 60)]
-    ok = (worst <= tol and abs(k60[2] - k60[1]) < abs(k60[1] - k60[0]) + 1e-15
+    ok = (worst <= ctx.tol(cid) and abs(k60[2] - k60[1]) < abs(k60[1] - k60[0]) + 1e-15
           and heat_kernel_value(60, 1.0, 0.0, 0.0) > heat_kernel_value(60, 1.0, 0.0, 1.0)
           > heat_kernel_value(60, 1.0, 0.0, 2.0) > 0)
-    return _record(cid, ok, {"coeff_defect": worst, "kernel_at_0": k60[-1]}, tol)
+    return ok, {"coeff_defect": worst, "kernel_at_0": k60[-1]}, {}
 
 
 @check("spaces.square-function", tol=1e-13)
-def check_square_function(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_square_function(ctx: VerifyContext, cid: str) -> tuple:
     """Two-route square-function identity and the divergence detector."""
-    tol = ctx.tol(cid)
     worst = 0.0
     for (s, K) in ((0.5, 1), (1.0, 1), (3.0, 2)):
         for i in range(20):
@@ -347,22 +336,21 @@ def check_square_function(ctx: VerifyContext, cid: str) -> ReportRecord:
         except DivergenceError:
             raised += 1
     fired = raised == 2
-    return _record(cid, worst <= tol and fired,
-                   {"rel_defect": worst, "divergence_detector": fired}, tol)
+    return (worst <= ctx.tol(cid) and fired,
+            {"rel_defect": worst, "divergence_detector": fired}, {})
 
 
 @check("spaces.kappa", tol=1e-13, sub={"contraction": 1e-13})
-def check_kappa(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_kappa(ctx: VerifyContext, cid: str) -> tuple:
     """Quadrature kappa against the closed-form constant, relative, up to
     both ends of 0 < s < 2K, and the contraction it bounds."""
-    tol = ctx.tol(cid)
     worst = 0.0
     for (s, K) in ((0.5, 1), (1.0, 1), (1.3, 2), (3.0, 2), (1e-3, 1), (2 - 1e-6, 1),
                    (4 - 1e-6, 2)):
         c = smoothing_constant(s, K)
         worst = max(worst, abs(kappa_constant(s, K) - c) / c)
     grow = [kappa_constant(s, 1) for s in (1.5, 1.9, 1.99)]
-    ok = worst <= tol and grow[0] < grow[1] < grow[2]
+    ok = worst <= ctx.tol(cid) and grow[0] < grow[1] < grow[2]
     # diagonal contraction: ||G(H^{-s/2} v)||_2 <= kappa ||v||_2 with equality;
     # the reading is the largest lhs / (kappa ||v||) - 1 of five draws
     kappa = kappa_constant(1.0, 1)
@@ -370,12 +358,11 @@ def check_kappa(ctx: VerifyContext, cid: str) -> ReportRecord:
     excess = max(square_function_norm(fractional_H(v, -0.5), 1.0, 1) / (kappa * v.norm()) - 1
                  for v in vs)
     ok &= excess <= ctx.tol(cid + ".contraction")
-    return _record(cid, ok, {"identity_defect": worst, "growth_toward_2K": grow,
-                             "contraction": excess}, tol)
+    return ok, {"identity_defect": worst, "growth_toward_2K": grow, "contraction": excess}, {}
 
 
 @check("spaces.partition-sum", tol=1e-13)
-def check_partition_sum(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_partition_sum(ctx: VerifyContext, cid: str) -> tuple:
     tol = ctx.tol(cid)
     bmp = PartitionBump()
     rng = np.random.default_rng(ctx.rng_seed(cid))
@@ -384,11 +371,11 @@ def check_partition_sum(ctx: VerifyContext, cid: str) -> ReportRecord:
     ok = worst <= tol
     ok &= float(np.abs(bmp.eval_axis(np.linspace(-1, 1, 64)) - 1.0).max()) <= tol
     ok &= float(np.abs(bmp.eval_axis(np.array([2.0, -2.2, 3.0]))).max()) <= tol
-    return _record(cid, ok, worst, tol, samples=10_000)
+    return ok, worst, {"samples": 10_000}
 
 
 @check("spaces.localization-interval")
-def check_localization_interval(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_localization_interval(ctx: VerifyContext, cid: str) -> tuple:
     """Exact range of ||f||_loc / ||f||_s: each cell's re-projected piece is
     P diag(W eta_m) B^T c, W the grid's dx weights, from the tables
     ``localization_norm`` uses.  At s = 1 both ends must be stable in N, at
@@ -415,12 +402,12 @@ def check_localization_interval(ctx: VerifyContext, cid: str) -> ReportRecord:
     ok &= all(classify_growth(ends, th) == "stable" for ends in zip(*ext["s=1"].values()))
     ok &= all(math.sqrt(smin) - 1e-6 <= lo and hi <= math.sqrt(smax) + 1e-6
               for lo, hi in ext["s=0"].values())
-    return _record(cid, ok, {"extremes": ext, "route_defect": route}, None,
-                   bounds_s0=[math.sqrt(smin), math.sqrt(smax)], threshold=th)
+    return (ok, {"extremes": ext, "route_defect": route},
+            {"bounds_s0": [math.sqrt(smin), math.sqrt(smax)], "threshold": th})
 
 
 @check("spaces.fock-equivalence", tol=1e-13)
-def check_fock_equivalence(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_fock_equivalence(ctx: VerifyContext, cid: str) -> tuple:
     """weighted_fock_norm / sobolev_norm against its closed form on C^1, diagonal
     in monomials by the radial weight: R_k^2 = mu_k / (mu_0 (2k+1)^s), with mu_k =
     Sigma_{j<=2s} C(2s, j) Gamma(k+1+j/2) / Gamma(k+1).  On 0..N the top is R_0 = 1;
@@ -442,18 +429,17 @@ def check_fock_equivalence(ctx: VerifyContext, cid: str) -> ReportRecord:
                 got = weighted_fock_norm(v, s) / sobolev_norm(v, s)
                 route = max(route, abs(got - want) / want)
     ok &= route <= ctx.tol(cid)
-    return _record(cid, ok, {"extremes": ext, "route_defect": route}, ctx.tol(cid), floor=floor)
+    return ok, {"extremes": ext, "route_defect": route}, {"floor": floor}
 
 
 @check("spaces.potential-bound", tol=1e-13)
-def check_potential_bound(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_potential_bound(ctx: VerifyContext, cid: str) -> tuple:
     """Ground-state moment, and the exact top of ``potential_bound_probe``,
     the norm of c -> sqrt(w) |x|^{2s} B^T H^{-s} c on its grid: stable in N."""
     th = ctx.threshold()
     v0 = SpectralVector.unit(1, 8, Convention.BARGMANN_H, 0)
     worst = abs(potential_bound_probe(v0, 1.0) - math.sqrt(3) / 4)
-    tol = ctx.tol(cid)
-    ok = worst <= tol and abs(potential_bound_probe(v0, 0.0) - 1.0) <= 1e-12
+    ok = worst <= ctx.tol(cid) and abs(potential_bound_probe(v0, 0.0) - 1.0) <= 1e-12
     tops: dict[str, list[float]] = {}
     route = 0.0
     for s in (0.5, 1.0):
@@ -468,17 +454,16 @@ def check_potential_bound(ctx: VerifyContext, cid: str) -> ReportRecord:
             tops.setdefault(f"s={s:g}", []).append(top)
     ok &= route <= _ROUTE_REL
     ok &= all(classify_growth(vals, th) == "stable" for vals in tops.values())
-    return _record(cid, ok, {"ground_state_defect": worst, "top_by_N": tops,
-                             "route_defect": route}, tol, threshold=th)
+    return ok, {"ground_state_defect": worst, "top_by_N": tops,
+                "route_defect": route}, {"threshold": th}
 
 
 # -------------------------------------------------------------- transforms
 
 @check("transforms.bargmann-calibration", tol=1e-12)
-def check_bargmann_calibration(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_bargmann_calibration(ctx: VerifyContext, cid: str) -> tuple:
     """Kernel quadrature maps basis k to the monomial e_k at 25 points
     |z| <= 2 for k <= 10, within the tolerance, in under 5 seconds."""
-    tol = ctx.tol(cid)
     t0 = time.perf_counter()
     g2 = gauss_hermite(64, 2.0, 1)
     radii = np.array([0.4, 0.8, 1.2, 1.6, 2.0])
@@ -491,15 +476,14 @@ def check_bargmann_calibration(ctx: VerifyContext, cid: str) -> ReportRecord:
         want = hermite_axis_table(k, zs, Convention.FOCK)[k]
         worst = max(worst, float(np.abs(got - want).max()))
     dt = time.perf_counter() - t0
-    return _record(cid, worst <= tol and dt <= 5.0,
-                   {"sup_error": worst}, tol, points=25, k_max=10)
+    return (worst <= ctx.tol(cid) and dt <= 5.0, {"sup_error": worst},
+            {"points": 25, "k_max": 10})
 
 
 @check("transforms.fourier-eigen", tol=1e-12)
-def check_fourier_eigen(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_fourier_eigen(ctx: VerifyContext, cid: str) -> tuple:
     """Kernel quadrature reproduces the diagonal phases on sample nodes and
     the weighted norms are preserved exactly in coefficients."""
-    tol = ctx.tol(cid)
     xg = gauss_hermite(64, 1.0, 1)
     ig = gauss_hermite(192, 1.0, 1)
     xs = xg.nodes[:, 0]
@@ -516,14 +500,13 @@ def check_fourier_eigen(ctx: VerifyContext, cid: str) -> ReportRecord:
                           abs(sobolev_norm(fourier(v), s) - sobolev_norm(v, s)))
     w = fourier(fourier(fourier(fourier(v))))
     fourth = float(np.abs(w.coeffs - v.coeffs).max())
-    ok = worst <= tol and norm_defect <= 1e-14 and fourth <= 1e-15
-    return _record(cid, ok, {"sup_error_nodes": worst, "norm_defect": norm_defect,
-                             "fourth_power_defect": fourth}, tol, k_max=20)
+    ok = worst <= ctx.tol(cid) and norm_defect <= 1e-14 and fourth <= 1e-15
+    return ok, {"sup_error_nodes": worst, "norm_defect": norm_defect,
+                "fourth_power_defect": fourth}, {"k_max": 20}
 
 
 @check("transforms.translation", tol=1e-12, sub={"group-law": 1e-12, "unitarity": 1e-10})
-def check_translation(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_translation(ctx: VerifyContext, cid: str) -> tuple:
     N = 32
     worst = 0.0
     T0 = translation_matrix(np.zeros(1), 16)
@@ -537,20 +520,19 @@ def check_translation(ctx: VerifyContext, cid: str) -> ReportRecord:
     glaw = float(np.linalg.norm(interior_block(Ta.entries @ Tb.entries - Tab.entries, 1, N)))
     # at N = 48 the interior defect is rounding; at N = 32, a = 1 it is truncation
     udef = max(translation_matrix(np.array([a]), 48).unitarity_defect() for a in (0.5, 1.0))
-    ok = (worst <= tol and glaw <= ctx.tol(cid + ".group-law")
+    ok = (worst <= ctx.tol(cid) and glaw <= ctx.tol(cid + ".group-law")
           and udef <= ctx.tol(cid + ".unitarity"))
-    return _record(cid, ok, {"overlap_defect": worst, "group_law": glaw,
-                             "unitarity_defect": udef}, tol, N=N, N_unitarity=48)
+    return ok, {"overlap_defect": worst, "group_law": glaw,
+                "unitarity_defect": udef}, {"N": N, "N_unitarity": 48}
 
 
 @check("transforms.weyl", tol=1e-13)
-def check_weyl(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_weyl(ctx: VerifyContext, cid: str) -> tuple:
     """Weyl entries against closed forms and a quadrature oracle, and the
     shift bound ||W_a v||_s <= C (1+|a|)^s ||v||_s: the exact C, the top of
     D^{s/2} W_a D^{-s/2} over (1+|a|)^s, is reported, not fitted, and must
     be stable in N; at s = 0 the section of a unitary has norm <= 1."""
     th = ctx.threshold()
-    tol = ctx.tol(cid)
     a = 0.5 + 0.4j
     N = 12
     W = weyl_matrix(a, N)
@@ -568,7 +550,7 @@ def check_weyl(ctx: VerifyContext, cid: str) -> ReportRecord:
     fac = np.exp(-abs(a) ** 2 / 2 + z * np.conj(a))
     Mq = (np.conj(E) * wts) @ (fac[:, None] * shifted.T)
     worst = max(worst, float(np.abs(Mq - weyl_matrix(a, 8).entries).max()))
-    ok = worst <= tol
+    ok = worst <= ctx.tol(cid)
     consts: dict[str, list[float]] = {}
     route = 0.0
     for aa in (0.25, 1.0, 1.5):
@@ -587,15 +569,14 @@ def check_weyl(ctx: VerifyContext, cid: str) -> ReportRecord:
             ok &= classify_growth(vals, th) == "stable" and (s > 0 or max(vals) <= 1 + 1e-12)
             consts[f"s={s:g},|a|={aa:g}"] = vals
     ok &= route <= _ROUTE_REL
-    return _record(cid, ok, {"entry_defect": worst, "C": max(map(max, consts.values())),
-                             "C_by_N": consts, "route_defect": route}, tol, threshold=th)
+    return ok, {"entry_defect": worst, "C": max(map(max, consts.values())),
+                "C_by_N": consts, "route_defect": route}, {"threshold": th}
 
 
 @check("transforms.conjugation", tol=1e-11, sub={"floor": 1e-11})
-def check_conjugation(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_conjugation(ctx: VerifyContext, cid: str) -> tuple:
     """Translation (real-line quadrature) vs Weyl (Fock-side analytic) agree
     on interior blocks; both are sections of one operator."""
-    tol = ctx.tol(cid)
     worst = 0.0
     # the N=96 pairs reach |a| = 5: the identity must hold across the accepted
     # range, not only at the small N and |a| of the other cases
@@ -605,12 +586,12 @@ def check_conjugation(ctx: VerifyContext, cid: str) -> ReportRecord:
     # quadrature is superexponentially exact here: the sequence sits at the
     # noise floor, so require only no growth beyond it
     floor_ok = all(d <= ctx.tol(cid + ".floor") for d in seq)
-    ok = worst <= tol and floor_ok
-    return _record(cid, ok, {"max_defect": worst, "defect_by_N": seq}, tol)
+    ok = worst <= ctx.tol(cid) and floor_ok
+    return ok, {"max_defect": worst, "defect_by_N": seq}, {}
 
 
 @check("transforms.translation-ladder", tol=1e-11)
-def check_translation_ladder(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_translation_ladder(ctx: VerifyContext, cid: str) -> tuple:
     tol = ctx.tol(cid)
     worst = 0.0
     v = SpectralVector.unit(1, 32, Convention.PAPER_H, 2)
@@ -627,12 +608,11 @@ def check_translation_ladder(ctx: VerifyContext, cid: str) -> ReportRecord:
     m = interior_count(1, 32)
     worst2 = float(np.linalg.norm(lhs.coeffs[:m] - rhs[:m]))
     ok = worst <= tol and worst2 <= tol
-    return _record(cid, ok, {"first_order": worst, "second_order": worst2}, tol)
+    return ok, {"first_order": worst, "second_order": worst2}, {}
 
 
 @check("transforms.leibniz", tol=1e-8, sub={"const": 1e-12})
-def check_leibniz(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_leibniz(ctx: VerifyContext, cid: str) -> tuple:
     h0 = SpectralVector.unit(1, 0, Convention.PAPER_H, 0)
     d0, _ = leibniz_check(h0, h0, projection_truncation=16)
     f = random_vector(1, 8, Convention.PAPER_H, ctx.rng_seed(cid))
@@ -643,22 +623,21 @@ def check_leibniz(ctx: VerifyContext, cid: str) -> ReportRecord:
     # fg is degree 16 times e^{-x^2}: its Hermite coefficients peak past grade
     # 16, then decay geometrically, so the tail is sampled from T = 4 * 8 on
     tails = [leibniz_check(f, g, projection_truncation=T)[1] for T in (32, 48, 64)]
-    ok = (max(d0, d1) <= tol and d2 <= ctx.tol(cid + ".const")
+    ok = (max(d0, d1) <= ctx.tol(cid) and d2 <= ctx.tol(cid + ".const")
           and all(b / a <= 0.5 for a, b in zip(tails, tails[1:])))
-    return _record(cid, ok, {"h0_defect": d0, "random_defect": d1,
-                             "const_defect": d2, "tail_by_truncation": tails}, tol)
+    return ok, {"h0_defect": d0, "random_defect": d1,
+                "const_defect": d2, "tail_by_truncation": tails}, {}
 
 
 @check("transforms.ladder-shift", tol=1e-12)
-def check_ladder_shift(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_ladder_shift(ctx: VerifyContext, cid: str) -> tuple:
     worst = 0.0
     for i in range(5):
         v = random_vector(1, 20, Convention.PAPER_H, ctx.rng_seed(cid) + i)
         for sigma in (0.5, 1.0, -0.7):
             for direction in ("lower", "raise"):
                 worst = max(worst, fractional_shift_defect(v, sigma, 1, direction))
-    return _record(cid, worst <= tol, worst, tol)
+    return worst <= ctx.tol(cid), worst, {}
 
 
 # The ladder words of length <= k (identity, lower, raise; then lower-lower,
@@ -676,7 +655,7 @@ _LADDER_RANGE = {1: (math.sqrt(2), math.sqrt(3), 3.0), 2: (2.0, math.sqrt(15), m
 
 
 @check("transforms.ladder-seminorm")
-def check_ladder_seminorm(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_ladder_seminorm(ctx: VerifyContext, cid: str) -> tuple:
     """||v||_ladder,k against ||v||_k on interior support, k = 1, 2: Q's
     diagonal, read off the words of the all-ones vector at index j + shift,
     against its closed form and range; the extremal e_j and one fixed vector
@@ -710,17 +689,16 @@ def check_ladder_seminorm(ctx: VerifyContext, cid: str) -> ReportRecord:
             ratios.append(ladder_seminorm(v, k) / sobolev_norm(v, float(k)))
             ok &= all(lo <= x <= cs for x in ratios)
     ok &= form_defect <= _ROUTE_REL and route <= _ROUTE_REL
-    return _record(cid, ok, {"extremes": ext, "form_defect": form_defect,
-                             "route_defect": route, "e0_ratio": e0}, None,
-                   form_range={f"k={k}": [lo, hi] for k, (lo, hi, _) in _LADDER_RANGE.items()},
-                   cauchy_schwarz={f"k={k}": [lo, cs] for k, (lo, _, cs) in _LADDER_RANGE.items()})
+    return (ok, {"extremes": ext, "form_defect": form_defect, "route_defect": route,
+                 "e0_ratio": e0},
+            {"form_range": {f"k={k}": [lo, hi] for k, (lo, hi, _) in _LADDER_RANGE.items()},
+             "cauchy_schwarz": {f"k={k}": [lo, cs] for k, (lo, _, cs) in _LADDER_RANGE.items()}})
 
 
 # --------------------------------------------------------------- operators
 
 @check("operators.symbol-closed-forms", tol=1e-12)
-def check_symbol_closed_forms(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_symbol_closed_forms(ctx: VerifyContext, cid: str) -> tuple:
     zs = np.array([0.0, 0.5 + 0.3j, -1.0 + 0.8j, 1.5, -0.4 - 1.1j])
     s1 = symbol_from_multiplier(constant(1.0))
     worst = float(np.abs(s1(zs) - 1.0).max())
@@ -732,11 +710,11 @@ def check_symbol_closed_forms(ctx: VerifyContext, cid: str) -> ReportRecord:
     s4 = symbol_from_multiplier(bump())
     want = math.sqrt(2.0 / 3.0) * np.exp(zs * zs / 6.0)
     worst = max(worst, float(np.abs(s4(zs) - want).max()))
-    return _record(cid, worst <= tol, worst, tol)
+    return worst <= ctx.tol(cid), worst, {}
 
 
 @check("operators.symbol-roundtrip", tol=1e-9, sub={"bump": 1e-10})
-def check_symbol_roundtrip(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_symbol_roundtrip(ctx: VerifyContext, cid: str) -> tuple:
     tol = ctx.tol(cid)
     mc = modulation(0.7)
     rec = multiplier_from_symbol(symbol_from_multiplier(mc, quad_order=192))
@@ -750,14 +728,12 @@ def check_symbol_roundtrip(ctx: VerifyContext, cid: str) -> ReportRecord:
     one = multiplier_from_symbol(symbol_from_multiplier(constant(1.0)))
     worst_one = float(np.abs(one(xs) - 1.0).max())
     ok = worst_mod <= tol and worst_one <= tol and worst_bump <= ctx.tol(cid + ".bump")
-    return _record(cid, ok, {"modulation": worst_mod, "constant": worst_one,
-                             "bump_at_nodes": worst_bump}, tol)
+    return ok, {"modulation": worst_mod, "constant": worst_one, "bump_at_nodes": worst_bump}, {}
 
 
 @check("operators.reproducing", tol=1e-12, sub={"linearity": 1e-13})
-def check_reproducing(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_reproducing(ctx: VerifyContext, cid: str) -> tuple:
     """Unit symbol reproduces point values and gives the identity matrix."""
-    tol = ctx.tol(cid)
     sym = symbol_from_multiplier(constant(1.0))
     N = 8
     M = integral_operator_matrix(sym, N, gauss_hermite(48, 1.0, 2))
@@ -772,12 +748,12 @@ def check_reproducing(ctx: VerifyContext, cid: str) -> ReportRecord:
     lin = abs(apply_integral_operator(sym, v.with_coeffs(v.coeffs + 2 * w.coeffs), 0.5, g)
               - apply_integral_operator(sym, v, 0.5, g)
               - 2 * apply_integral_operator(sym, w, 0.5, g))
-    ok = worst <= tol and lin <= ctx.tol(cid + ".linearity")
-    return _record(cid, ok, {"identity_defect": worst, "linearity": lin}, tol)
+    ok = worst <= ctx.tol(cid) and lin <= ctx.tol(cid + ".linearity")
+    return ok, {"identity_defect": worst, "linearity": lin}, {}
 
 
 @check("operators.theorem-matrix", tol=1e-12)
-def check_theorem_matrix(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_theorem_matrix(ctx: VerifyContext, cid: str) -> tuple:
     """Central dual-route check: direct complex quadrature of the integral
     operator vs the Fourier-conjugated multiplier matrix, interior blocks,
     with the coarse-truncation distance exceeding the fine one."""
@@ -796,11 +772,11 @@ def check_theorem_matrix(ctx: VerifyContext, cid: str) -> ReportRecord:
         dt = time.perf_counter() - t0
         ok &= dists[12] <= tol and dists[8] > dists[12] and dt <= 120.0
         results[m.label] = {"d8": dists[8], "d12": dists[12]}
-    return _record(cid, ok, results, tol, N_fine=12, Q_fine=default_mesh_order(12))
+    return ok, results, {"N_fine": 12, "Q_fine": default_mesh_order(12)}
 
 
 @check("operators.modulation-weyl", tol=1e-12)
-def check_modulation_weyl(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_modulation_weyl(ctx: VerifyContext, cid: str) -> tuple:
     """The exponential symbol acts as the Weyl shift: both operator routes
     match the analytic Weyl matrix on the interior block."""
     tol = ctx.tol(cid)
@@ -813,29 +789,27 @@ def check_modulation_weyl(ctx: VerifyContext, cid: str) -> ReportRecord:
     B = conjugated_multiplier_matrix(modulation(c), N)
     d2 = interior_frobenius(B.entries, W.entries, 1, N)
     ok = d1 <= tol and d2 <= tol
-    return _record(cid, ok, {"direct_vs_weyl": d1, "conjugated_vs_weyl": d2}, tol, c=c)
+    return ok, {"direct_vs_weyl": d1, "conjugated_vs_weyl": d2}, {"c": c}
 
 
 @check("operators.norm-identity", tol=0.05)
-def check_norm_identity(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_norm_identity(ctx: VerifyContext, cid: str) -> tuple:
     """Flat-weight operator norm approaches the sup of the multiplier from
     below as the truncation grows."""
-    tol = ctx.tol(cid)
     m = MultiplierSpec("sin-shift", lambda x: (2.0 + np.sin(2.0 * x)) / 3.0)
     errs = {}
     for N in (10, 20, 40):
         est = operator_norm(conjugated_multiplier_matrix(m, N), 0.0)
         errs[N] = abs(est - 1.0)
-    ok = errs[40] <= tol and errs[10] > errs[20] > errs[40]
-    return _record(cid, ok, errs, tol, sup=1.0)
+    ok = errs[40] <= ctx.tol(cid) and errs[10] > errs[20] > errs[40]
+    return ok, errs, {"sup": 1.0}
 
 
 @check("operators.commutation", tol=1e-11)
-def check_commutation(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_commutation(ctx: VerifyContext, cid: str) -> tuple:
     """The conjugated bump multiplier commutes with real Weyl shifts on the
     interior block.  N = 64 puts the product of sections at rounding
     (5.2e-14); at N = 32 it reads the truncation (3.0e-6)."""
-    tol = ctx.tol(cid)
     N = 64
     A = conjugated_multiplier_matrix(bump(), N)
     worst = 0.0
@@ -843,11 +817,11 @@ def check_commutation(ctx: VerifyContext, cid: str) -> ReportRecord:
         W = weyl_matrix(complex(a), N)
         C = A.entries @ W.entries - W.entries @ A.entries
         worst = max(worst, float(np.linalg.norm(interior_block(C, 1, N))))
-    return _record(cid, worst <= tol, worst, tol, N=N)
+    return worst <= ctx.tol(cid), worst, {"N": N}
 
 
 @check("operators.norm-transport", tol=1e-13)
-def check_norm_transport(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_norm_transport(ctx: VerifyContext, cid: str) -> tuple:
     """The Fock-side weighted norm equals the real-line weighted norm of the
     bare multiplier matrix: the wrapping phases are diagonal unitaries.
 
@@ -855,14 +829,13 @@ def check_norm_transport(ctx: VerifyContext, cid: str) -> ReportRecord:
     singular values by construction, and the measured distance (2.3e-16, the
     same at every seed) is the rounding of two norm computations.
     """
-    tol = ctx.tol(cid)
     worst = 0.0
     for m in (bump(), signum()):
         for s in (0.0, 1.0):
             a = operator_norm(conjugated_multiplier_matrix(m, 24), s)
             b = operator_norm(multiplier_matrix(m, 24), s)
             worst = max(worst, abs(a - b) / max(b, 1e-300))
-    return _record(cid, worst <= tol, worst, tol)
+    return worst <= ctx.tol(cid), worst, {}
 
 
 # |entry(0, 1)| of the signum matrix at N = 8 against the half-line Gaussian
@@ -872,21 +845,19 @@ SIGNUM_ENTRY01_BOUND = 0.031
 
 
 @check("operators.multiplier-matrix", tol=1e-12)
-def check_multiplier_matrix(ctx: VerifyContext, cid: str) -> ReportRecord:
-    tol = ctx.tol(cid)
+def check_multiplier_matrix(ctx: VerifyContext, cid: str) -> tuple:
     M1 = multiplier_matrix(constant(1.0), 16)
     worst = float(np.abs(M1.entries - np.eye(index_count(1, 16))).max())
     Mb = multiplier_matrix(bump(), 16)
     worst = max(worst, float(np.abs(Mb.entries - Mb.entries.conj().T).max()))
     Ms = multiplier_matrix(signum(), 8)
     entry_err = abs(abs(Ms.entries[0, 1]) - math.sqrt(2 / math.pi))
-    ok = worst <= tol and entry_err <= SIGNUM_ENTRY01_BOUND
-    return _record(cid, ok, {"identity_and_hermiticity": worst,
-                             "signum_entry_error": entry_err}, tol)
+    ok = worst <= ctx.tol(cid) and entry_err <= SIGNUM_ENTRY01_BOUND
+    return ok, {"identity_and_hermiticity": worst, "signum_entry_error": entry_err}, {}
 
 
 @check("operators.probes")
-def check_probes(ctx: VerifyContext, cid: str) -> ReportRecord:
+def check_probes(ctx: VerifyContext, cid: str) -> tuple:
     """Boundedness contrast at first-order smoothness: flat vs oscillator
     weights classify the registry multipliers differently."""
     th = ctx.threshold()
@@ -904,8 +875,7 @@ def check_probes(ctx: VerifyContext, cid: str) -> ReportRecord:
     # scaling invariance: norms are linear in the multiplier
     half = boundedness_probe(constant(0.5), 1.0, (8, 16), th)
     ok &= all(abs(v - 0.5) <= 1e-8 for v in half.values)
-    return _record(cid, ok, {k: r.as_dict() for k, r in reports.items()}, None,
-                   threshold=th)
+    return ok, {k: r.as_dict() for k, r in reports.items()}, {"threshold": th}
 
 
 CHECK_IDS = [cid for cid, _, _ in CHECKS]
@@ -913,16 +883,18 @@ TOLERANCES = {key: default for _, _, tols in CHECKS for key, default in tols.ite
 
 
 def _run_one(ctx: VerifyContext, cid: str, fn, tols: dict[str, float]) -> ReportRecord:
-    """Run one check; every warning it raises is recorded on its record,
-    one entry per distinct (category, message) with its count, in order of
-    first appearance, and so is the effective value of every tolerance key
-    ``tols`` it declares."""
+    """Run one check and build its record from the ``(ok, measured, inputs)``
+    it returns and the effective value of every tolerance key ``tols`` it
+    declares.  Every warning it raises is recorded, one entry per distinct
+    (category, message) with its count, in order of first appearance."""
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rec = fn(ctx, cid)
-        except Exception as exc:  # a crashed check is a failed check
+            ok, measured, inputs = fn(ctx, cid)
+            rec = ReportRecord(check_id=cid, status="pass" if ok else "fail", measured=measured,
+                               tolerance=ctx.tol(cid) if cid in tols else None, inputs=inputs)
+        except Exception as exc:  # a crashed or malformed check is a failed check
             rec = ReportRecord(check_id=cid, status="fail",
                                measured={"error": f"{type(exc).__name__}: {exc}"})
     counts = Counter((w.category.__name__, str(w.message)) for w in caught)

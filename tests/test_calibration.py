@@ -4,9 +4,12 @@ A change that moves a calibrated measurement (a new bump, a new norm routine)
 has to regenerate the file in the same change; this test catches a file left
 stale.
 """
+from importlib import resources
+
 import pytest
 
 from focklab.calibration import REQUIRED_KEYS, load_calibration, run_calibration
+from focklab.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +23,13 @@ def fresh():
     return values
 
 
-def test_committed_calibration_is_fresh(committed, fresh):
+def test_committed_calibration_is_fresh(committed, fresh, tmp_path):
     # the value is stored to 12 significant digits, so it is exact everywhere
     assert fresh["growth.threshold"] == committed
+    # and `focklab calibrate` writes the packaged file byte for byte
+    out = tmp_path / "calibration.txt"
+    assert main(["calibrate", "--out", str(out)]) == 0
+    assert out.read_bytes() == resources.files("focklab").joinpath("calibration.txt").read_bytes()
 
 
 def test_writes_exactly_the_required_keys(fresh):

@@ -257,6 +257,19 @@ def test_verify_config_records_provenance(tmp_path, monkeypatch):
     assert strip_timing(a.read_text()) == strip_timing(b.read_text())
 
 
+@pytest.mark.parametrize("fmt, loaded", [("json", True), ("csv", False)])
+def test_only_json_hashes_the_calibration(fmt, loaded):
+    # CSV carries no config, so it builds no provenance; in a fresh interpreter
+    # a check that draws no random vector then never loads OpenSSL
+    code = ("import sys; from focklab.cli import main; "
+            f"main(['verify', '--only', 'hermite.orthonormality', '--format', '{fmt}']); "
+            "print('_hashlib' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[-1] == str(loaded)
+
+
 def test_csv_json_values_agree(tmp_path):
     j, c = tmp_path / "r.json", tmp_path / "r.csv"
     run_cli("verify", "--only", "hermite.orthonormality", "--out", str(j))
@@ -510,6 +523,23 @@ def test_export_unknown_selector(tmp_path):
         run_cli("export", "--matrix", "hadamard", "--N", "8",
                 "--out", str(tmp_path / "x.mat"))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, status, phrase", [
+    (("verify", "--only", "nomatch"), 2, "matches no checks"),
+    (("symbol", "--multiplier", "bump", "--z-re", "1:2"), 2, "bad range"),
+    (("export", "--matrix", "weyl:0.5", "--N", "8", "--out", "{missing}/x.mat"), 1,
+     "I/O error"),
+    (("probe", "--multiplier", "bump", "--s", "400", "--N", "8", "--N", "64"), 1,
+     "error: the weighted section at s=400, N=64 is not finite"),
+])
+def test_exit_status_names_its_cause(tmp_path, capsys, argv, status, phrase):
+    try:
+        code = run_cli(*(a.format(missing=tmp_path / "missing") for a in argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == status
+    assert phrase in capsys.readouterr().err
 
 
 def test_module_entrypoint_smoke():

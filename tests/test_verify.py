@@ -1,5 +1,6 @@
 """The verify checks that bound a norm ratio by its exact extremes, the
-warnings verify records, and the tolerance defaults, which may not loosen.
+warnings verify records, the record the runner builds from what a check
+returns (or from its crash), and the tolerance defaults, which may not loosen.
 
 Each reference below builds the ratio's quadratic form by polarization,
 O(K^2) calls of the public function on sums of unit vectors, independently
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from focklab import spaces
+from focklab import spaces, verify
 from focklab.hermite import Convention, SpectralVector
 from focklab.reporting import emit_json, strip_timing
 from focklab.spaces import (
@@ -25,7 +26,7 @@ from focklab.spaces import (
     weighted_fock_norm,
 )
 from focklab.transforms import weyl_matrix
-from focklab.verify import _LADDER, TOLERANCES, VerifyContext, run_suite
+from focklab.verify import _LADDER, CHECKS, TOLERANCES, VerifyContext, run_suite
 
 N = 8
 EXTREMAL = ("spaces.localization-interval", "spaces.fock-equivalence",
@@ -182,6 +183,46 @@ def test_records_carry_their_warnings():
     ]}
     doc = json.loads(emit_json(recs, {}, ""))
     assert [r["warnings"] for r in doc["records"]] == [r.warnings for r in recs]
+
+
+def test_a_crashed_check_is_a_failed_record(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("no Weyl matrix today")
+
+    monkeypatch.setattr(verify, "weyl_matrix", broken)
+    rec, = run_suite(VerifyContext(), only="transforms.weyl")
+    assert rec.status == "fail"
+    assert rec.measured == {"error": "RuntimeError: no Weyl matrix today"}
+    assert rec.tolerance is None
+    assert rec.tolerances == {"transforms.weyl": TOLERANCES["transforms.weyl"]}
+
+
+@pytest.mark.parametrize("returned", [None, (True, 0.0), (np.array([True, False]), 0.0, {})])
+def test_a_malformed_return_is_a_failed_record(monkeypatch, returned):
+    i = [cid for cid, _, _ in CHECKS].index("hermite.recurrence-values")
+    cid, _, tols = CHECKS[i]
+    swapped = [*CHECKS[:i], (cid, lambda ctx, cid: returned, tols), *CHECKS[i + 1:]]
+    monkeypatch.setattr(verify, "CHECKS", swapped)
+    recs = run_suite(VerifyContext(), only="hermite")
+    assert [r.check_id for r in recs] == [c for c, _, _ in CHECKS if c.startswith("hermite")]
+    assert [r.status for r in recs] == ["fail" if r.check_id == cid else "pass" for r in recs]
+    bad, = [r for r in recs if r.check_id == cid]
+    assert bad.tolerance is None and bad.tolerances == {cid: TOLERANCES[cid]}
+
+
+NO_KEY = ("spaces.norm-monotonicity", "spaces.localization-interval",
+          "transforms.ladder-seminorm", "operators.probes")
+
+
+def test_the_checks_without_a_key_are_these():
+    assert tuple(cid for cid, _, tols in CHECKS if not tols) == NO_KEY
+
+
+@pytest.mark.parametrize("cid", NO_KEY)
+def test_a_check_without_a_key_records_no_tolerance(cid):
+    rec, = run_suite(VerifyContext(), only=cid)
+    assert rec.status == "pass"
+    assert rec.tolerance is None and rec.tolerances == {}
 
 
 # Every tolerance default as it stands.  A default may tighten freely; loosening
