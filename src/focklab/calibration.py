@@ -1,5 +1,8 @@
-"""Calibration file: the measured growth-classification threshold that the
-probes and the verification suite read instead of hard-coding.
+"""Calibration file: the measured growth-classification threshold, which the
+probes' callers and the verification suite read instead of hard-coding.
+``focklab calibrate`` measures it through ``boundedness_probe`` and
+``classical_sobolev_probe``, which do not classify; ``focklab probe`` and the
+``operators.probes`` check apply ``classify_growth`` against it (``_probe_record``).
 
 The file is a flat ``key = value`` document with ``#`` provenance comments,
 regenerated by ``focklab calibrate`` and checked into the repository.  The
@@ -7,6 +10,7 @@ environment variable FOCKLAB_CALIBRATION overrides the default path.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from importlib import resources
@@ -16,10 +20,10 @@ from .errors import CalibrationError
 from .multipliers import bump, chirp43, constant, signum
 from .operators import (
     _PROBE_LADDER,
-    _classical_norm,
-    _growth_ratios,
-    conjugated_multiplier_matrix,
-    operator_norm,
+    GrowthReport,
+    boundedness_probe,
+    classical_sobolev_probe,
+    classify_growth,
 )
 
 __all__ = [
@@ -83,61 +87,42 @@ def save_calibration(path: Path, values: dict[str, float], comments: dict[str, s
         f"schema = {SCHEMA}",
     ]
     for key in sorted(values):
-        c = comments.get(key)
-        if c:
+        if c := comments.get(key):
             lines.append(f"# {c}")
         lines.append(f"{key} = {float(values[key])!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
+def _probe_record(report: GrowthReport, threshold: float) -> dict:
+    """A probe report's fields and its ``classification`` under ``threshold``,
+    as ``focklab probe`` and the ``operators.probes`` check record it."""
+    return {**dataclasses.asdict(report),
+            "classification": classify_growth(report.values, threshold)}
+
+
 def run_calibration(verbose: bool = False) -> tuple[dict[str, float], dict[str, str]]:
-    """The mandatory oracle run: measure the growth ratios of known stable and
-    growing norm sequences and put the threshold at their geometric midpoint,
+    """The mandatory oracle run: probe known stable and growing multipliers
+    at s = 1 over ``_PROBE_LADDER`` and put the threshold at the geometric
+    midpoint of the worst stable max/min and the least growing last/first,
     rounded to 12 significant digits: the last bit of the measured midpoint
     differs between machines, and the file must not (every other bound a
     check asserts is exact or stated)."""
-    values: dict[str, float] = {}
-    comments: dict[str, str] = {}
-
-    def log(msg: str) -> None:
+    probe = {"hermite": boundedness_probe, "classical": classical_sobolev_probe}
+    stable, growing = [], []
+    for m, side, ratios in ((constant(1.0), "hermite", stable), (signum(), "hermite", growing),
+                            (chirp43(), "hermite", stable), (bump(), "hermite", stable),
+                            (chirp43(), "classical", growing), (bump(), "classical", stable)):
+        r = probe[side](m, 1.0, _PROBE_LADDER)
+        ratios.append(r.max_min if ratios is stable else r.last_first)
         if verbose:
-            print(msg, flush=True)
-
-    # --- growth sequences over the probe truncations
-    Ns = _PROBE_LADDER
-    stable_ratios: list[float] = []
-    growing_ratios: list[float] = []
-
-    def hermite_seq(m):
-        return [operator_norm(conjugated_multiplier_matrix(m, N), 1.0) for N in Ns]
-
-    def classical_seq(m):
-        return [_classical_norm(m, 1.0, N) for N in Ns]
-
-    seqs = {
-        "constant.s1.hermite": (hermite_seq(constant(1.0)), "stable"),
-        "signum.s1.hermite": (hermite_seq(signum()), "growing"),
-        "chirp43.s1.hermite": (hermite_seq(chirp43()), "stable"),
-        "bump.s1.hermite": (hermite_seq(bump()), "stable"),
-        "chirp43.s1.classical": (classical_seq(chirp43()), "growing"),
-        "bump.s1.classical": (classical_seq(bump()), "stable"),
-    }
-    for name, (vals, kind) in seqs.items():
-        lf, mm = _growth_ratios(vals)
-        if kind == "stable":
-            stable_ratios.append(mm)
-        else:
-            growing_ratios.append(lf)
-        log(f"{name}: {vals} -> last/first {lf:.4f}")
-
-    worst_stable = max(stable_ratios)
-    best_growing = min(growing_ratios)
+            print(f"{m.label.partition(':')[0]}.s1.{side}: {list(r.values)} -> last/first "
+                  f"{r.last_first:.4f}", flush=True)
+    worst_stable, best_growing = max(stable), min(growing)
     if best_growing <= worst_stable:
         raise CalibrationError(
             f"growth classes do not separate: stable max/min up to {worst_stable:.4f}, "
             f"growing last/first down to {best_growing:.4f}")
-    values["growth.threshold"] = float(f"{math.sqrt(worst_stable * best_growing):.12g}")
-    comments["growth.threshold"] = (
-        f"geometric midpoint of worst stable max/min {worst_stable:.4f} and "
-        f"smallest growing last/first {best_growing:.4f}, to 12 significant digits")
-    return values, comments
+    key = "growth.threshold"
+    return ({key: float(f"{math.sqrt(worst_stable * best_growing):.12g}")},
+            {key: f"geometric midpoint of worst stable max/min {worst_stable:.4f} and "
+                  f"smallest growing last/first {best_growing:.4f}, to 12 significant digits"})

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    _probe_record,
     default_calibration_path,
     load_calibration,
     run_calibration,
@@ -298,13 +299,14 @@ def cmd_probe(args) -> int:
     except (KeyError, ValueError) as exc:
         _fail_config(str(exc))
     th = load_calibration()
-    reports = [boundedness_probe(m, args.s, N_list, th)]
+    reports = [boundedness_probe(m, args.s, N_list)]
     if args.classical:
-        reports.append(classical_sobolev_probe(m, args.s, N_list, th))
-    records = [ReportRecord(check_id=f"probe[{m.label}:{r.side}]",
-                            status="pass" if r.classification != "inconclusive"
+        reports.append(classical_sobolev_probe(m, args.s, N_list))
+    measured = [_probe_record(r, th) for r in reports]
+    records = [ReportRecord(check_id=f"probe[{m.label}:{d['side']}]",
+                            status="pass" if d["classification"] != "inconclusive"
                             else "inconclusive",
-                            measured=r.as_dict()) for r in reports]
+                            measured=d) for d in measured]
     config = {"multiplier": args.multiplier, "s": args.s, "N": N_list, "format": args.fmt}
     _emit(args, records, config, ("multiplier", "side", "s", "N", "norm"),
           ([r.multiplier, r.side, r.s, N, v] for r in reports

@@ -295,16 +295,23 @@ def eval_hermite(k: int, x, convention: Convention = Convention.PAPER_H):
     return hermite_axis_table(k, x, convention)[k]
 
 
-def basis_table(n: int, N: int, points: np.ndarray, convention: Convention) -> np.ndarray:
-    """Values basis_alpha(points) for all |alpha| <= N, shape (count, npts).
-
-    ``points`` is (npts, n), or (npts,) for n = 1.
-    """
+def _point_rows(points, n: int) -> tuple[np.ndarray, bool]:
+    """(rows, single): ``points`` as an (npts, n) array, and whether it was one
+    point.  A point set is (npts, n), or (npts,) for n = 1; one point is (n,),
+    or a scalar for n = 1; any other shape is a ValueError."""
     points = np.asarray(points)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    if points.shape[1] != n:
-        raise ValueError(f"points have dimension {points.shape[1]}, expected {n}")
+    single = points.shape == ((n,) if n > 1 else ())
+    rows = points.reshape(-1, n) if single or (n == 1 and points.ndim == 1) else points
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"points of shape {points.shape} are neither (npts, {n}) nor one "
+                         f"point in dimension {n}")
+    return rows, single
+
+
+def basis_table(n: int, N: int, points: np.ndarray, convention: Convention) -> np.ndarray:
+    """Values basis_alpha(points) for all |alpha| <= N, shape (count, npts),
+    points as ``_point_rows`` reads them (one point is npts = 1)."""
+    points = _point_rows(points, n)[0]
     tabs = [hermite_axis_table(N, points[:, j], convention) for j in range(n)]
     if n == 1:  # the graded order is the axis order
         return tabs[0]
@@ -382,13 +389,9 @@ def project(f: Callable[[np.ndarray], np.ndarray], N: int, grid: QuadratureGrid,
 def synthesize(v: SpectralVector, points) -> np.ndarray:
     """Pointwise sum  Sigma c_alpha basis_alpha(x); complex points continue
     the basis analytically (overflow-guarded)."""
-    points = np.asarray(points)
-    scalar = points.ndim == 0 or (v.dim > 1 and points.ndim == 1)
-    if scalar:
-        points = points.reshape(1, -1) if v.dim > 1 else points.reshape(1)
-    P = basis_table(v.dim, v.truncation, points, v.convention)
-    vals = v.coeffs @ P
-    return vals[0] if scalar else vals
+    rows, single = _point_rows(points, v.dim)
+    vals = v.coeffs @ basis_table(v.dim, v.truncation, rows, v.convention)
+    return vals[0] if single else vals
 
 
 @lru_cache(maxsize=None)

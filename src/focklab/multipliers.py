@@ -63,13 +63,13 @@ def modulation(c) -> MultiplierSpec:
 
 def signum() -> MultiplierSpec:
     """sign(x) on the line: bounded, but not a first-order multiplier."""
-    return MultiplierSpec("signum", lambda x: np.sign(_radial_sign(x)))
 
+    def ev(x: np.ndarray) -> np.ndarray:
+        if x.ndim > 1:
+            raise ValueError("signum is one-dimensional")
+        return np.sign(x)
 
-def _radial_sign(x: np.ndarray) -> np.ndarray:
-    if x.ndim > 1:
-        raise ValueError("signum is one-dimensional")
-    return x
+    return MultiplierSpec("signum", ev)
 
 
 def chirp43() -> MultiplierSpec:

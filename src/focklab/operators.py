@@ -37,7 +37,6 @@ two routes still share no code.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -365,19 +364,14 @@ class GrowthReport:
     values: tuple[float, ...]
     last_first: float
     max_min: float
-    classification: str
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _growth_ratios(values: Sequence[float]) -> tuple[float, float]:
     """(last/first, max/min) of a norm sequence; an identically zero
     sequence is constant, so both ratios are 1."""
-    vals = list(values)
-    if not any(vals):
+    if not any(values):
         return 1.0, 1.0
-    return vals[-1] / vals[0], max(vals) / min(vals)
+    return values[-1] / values[0], max(values) / min(values)
 
 
 def classify_growth(values: Sequence[float], threshold: float) -> str:
@@ -413,19 +407,16 @@ def _truncation_ladder(N_list: Sequence[int]) -> tuple[int, ...]:
     return N_list
 
 
-def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
-                      threshold: float) -> GrowthReport:
+def boundedness_probe(m: MultiplierSpec, s: float, N_list: Sequence[int]) -> GrowthReport:
     """Weighted operator norms of the conjugated multiplier matrix over an
-    increasing truncation list, classified by the calibrated ratio rule.
-
-    The classification is heuristic evidence about multiplier membership,
-    not a proof; the norm sequences themselves are the primary output.
-    """
+    increasing truncation list, and their growth ratios.  ``focklab
+    calibrate`` measures through it; ``focklab probe`` and
+    ``operators.probes`` classify it by ``classify_growth``, as heuristic
+    evidence about multiplier membership, not a proof."""
     N_list = _truncation_ladder(N_list)
     vals = tuple(operator_norm(conjugated_multiplier_matrix(m, N), s)
                  for N in N_list)
-    return GrowthReport(m.label, "hermite", s, N_list, vals,
-                        *_growth_ratios(vals), classify_growth(vals, threshold))
+    return GrowthReport(m.label, "hermite", s, N_list, vals, *_growth_ratios(vals))
 
 
 def _classical_samples(m: MultiplierSpec, N: int) -> tuple[np.ndarray, float, float]:
@@ -558,8 +549,7 @@ def _classical_norm(m: MultiplierSpec, s: float, N: int) -> float:
     return _top_singular(B)[0] * section_scale * scale
 
 
-def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
-                            threshold: float) -> GrowthReport:
+def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int]) -> GrowthReport:
     """Contrast probe: the same multiplication operator measured against the
     flat Fourier weights (1+|xi|^2)^{s/2} on a periodized box (1D only).  Each
     norm (``_classical_norm``) is that of the finite Toeplitz section of m on
@@ -576,8 +566,7 @@ def classical_sobolev_probe(m: MultiplierSpec, s: float, N_list: Sequence[int],
     """
     N_list = _truncation_ladder(N_list)
     vals = tuple(_classical_norm(m, s, N) for N in N_list)
-    return GrowthReport(m.label, "classical", s, N_list, vals,
-                        *_growth_ratios(vals), classify_growth(vals, threshold))
+    return GrowthReport(m.label, "classical", s, N_list, vals, *_growth_ratios(vals))
 
 
 def _edge_mask(grid2n: QuadratureGrid) -> np.ndarray:

@@ -52,8 +52,8 @@ def emit_json(records: list[ReportRecord], config: dict, timestamp: str) -> str:
 
 
 def _scalarize(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, float):  # numpy float64 included, whose repr is np.float64(...)
+        return repr(float(x))
     if isinstance(x, (list, tuple, dict)):
         return json.dumps(x, sort_keys=True)
     return str(x)

@@ -372,8 +372,7 @@ def potential_bound_probe(v: SpectralVector, s: float) -> float:
     w = fractional_H(v, -s)
     sc = float(v.convention.weight_exponent)
     grid = gauss_hermite(min(2 * v.truncation + 48, 512), sc, v.dim)
-    pts = grid.nodes if v.dim > 1 else grid.nodes[:, 0]
-    vals = synthesize(w, pts)
+    vals = synthesize(w, grid.nodes)
     r2 = np.sum(grid.nodes * grid.nodes, axis=1)
     num = math.sqrt(float(np.sum(grid.dx_weights * r2 ** (2 * s) * np.abs(vals) ** 2)))
     return num / v.norm()

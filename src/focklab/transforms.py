@@ -28,6 +28,7 @@ from .hermite import (
     QuadratureGrid,
     SpectralVector,
     _graded_product,
+    _point_rows,
     basis_table,
     gauss_hermite,
     index_array,
@@ -136,11 +137,7 @@ def fourier_quadrature(f, x, grid: QuadratureGrid) -> np.ndarray:
     """
     if grid.scale != 1.0:
         raise GridMismatchError("fourier quadrature needs a scale-1 grid")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 0 or (grid.dim > 1 and x.ndim == 1)
-    if single:
-        x = x.reshape(1, -1) if grid.dim > 1 else x.reshape(1)
-    xm = x.reshape(len(x), -1)
+    xm, single = _point_rows(np.asarray(x, dtype=float), grid.dim)
     pts = grid.nodes if grid.dim > 1 else grid.nodes[:, 0]
     vals = np.asarray(f(pts), dtype=complex)
     ker = np.exp(-2j * (xm @ grid.nodes.T))
@@ -152,23 +149,21 @@ def bargmann_quadrature(f, z, grid2: QuadratureGrid) -> np.ndarray:
     """Kernel quadrature (2/pi)^{n/4} Sigma_y W e^{2 z.y - z.z/2} f(y) of the
     Fock map at complex points z (tensorized).
 
-    ``grid2`` is a scale-2 rule of dimension n; ``z`` is a scalar/array for
-    n = 1 or (m, n) for n > 1, and ``f`` gets the nodes as (Q,) for n = 1 or
-    (Q, n) for n > 1.  For basis inputs the integrand is polynomial times an
-    entire kernel, so convergence is superexponential.
+    ``grid2`` is a scale-2 rule of dimension n; ``z`` is a point set or one
+    point (``hermite._point_rows``), and ``f`` gets the nodes as (Q,) for
+    n = 1 or (Q, n) for n > 1.  For basis inputs the integrand is polynomial
+    times an entire kernel, so convergence is superexponential.
     """
     if grid2.scale != 2.0:
         raise GridMismatchError("the Fock-map quadrature needs a scale-2 grid")
     n = grid2.dim
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape if n == 1 else z.shape[:-1]
-    zm = z.reshape(-1, n)
+    zm, single = _point_rows(np.asarray(z, dtype=complex), n)
     y = grid2.nodes
     ker = np.exp(2.0 * (zm @ y.T) - 0.5 * np.sum(zm * zm, axis=1)[:, None]
                  - np.sum(y * y, axis=1))
     vals = np.asarray(f(y if n > 1 else y[:, 0]), dtype=complex)
     out = (2.0 / math.pi) ** (n / 4) * (ker @ (grid2.dx_weights * vals))
-    return out.reshape(shape)[()]  # 0-d -> scalar
+    return out[0] if single else out
 
 
 def _translation_axis(a: float, N: int, convention: Convention) -> np.ndarray:

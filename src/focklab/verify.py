@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import load_calibration
+from .calibration import _probe_record, load_calibration
 from .errors import DivergenceError
 from .hermite import (
     Convention,
@@ -861,21 +861,21 @@ def check_probes(ctx: VerifyContext, cid: str) -> tuple:
     """Boundedness contrast at first-order smoothness: flat vs oscillator
     weights classify the registry multipliers differently."""
     th = ctx.threshold()
-    Ns = _PROBE_LADDER
     reports = {
-        "constant": boundedness_probe(constant(1.0), 1.0, Ns, th),
-        "signum": boundedness_probe(signum(), 1.0, Ns, th),
-        "chirp43": boundedness_probe(chirp43(), 1.0, Ns, th),
-        "chirp43-classical": classical_sobolev_probe(chirp43(), 1.0, Ns, th),
+        "constant": boundedness_probe(constant(1.0), 1.0, _PROBE_LADDER),
+        "signum": boundedness_probe(signum(), 1.0, _PROBE_LADDER),
+        "chirp43": boundedness_probe(chirp43(), 1.0, _PROBE_LADDER),
+        "chirp43-classical": classical_sobolev_probe(chirp43(), 1.0, _PROBE_LADDER),
     }
+    records = {k: _probe_record(r, th) for k, r in reports.items()}
     want = {"constant": "stable", "signum": "growing", "chirp43": "stable",
             "chirp43-classical": "growing"}
-    ok = all(reports[k].classification == want[k] for k in want)
+    ok = all(records[k]["classification"] == want[k] for k in want)
     ok &= abs(reports["constant"].values[0] - 1.0) <= 1e-8
     # scaling invariance: norms are linear in the multiplier
-    half = boundedness_probe(constant(0.5), 1.0, (8, 16), th)
+    half = boundedness_probe(constant(0.5), 1.0, (8, 16))
     ok &= all(abs(v - 0.5) <= 1e-8 for v in half.values)
-    return ok, {k: r.as_dict() for k, r in reports.items()}, {"threshold": th}
+    return ok, records, {"threshold": th}
 
 
 CHECK_IDS = [cid for cid, _, _ in CHECKS]

@@ -4,12 +4,14 @@ A change that moves a calibrated measurement (a new bump, a new norm routine)
 has to regenerate the file in the same change; this test catches a file left
 stale.
 """
+import re
 from importlib import resources
 
 import pytest
 
 from focklab.calibration import REQUIRED_KEYS, load_calibration, run_calibration
 from focklab.cli import main
+from focklab.errors import CalibrationError
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +37,20 @@ def test_committed_calibration_is_fresh(committed, fresh, tmp_path):
 def test_writes_exactly_the_required_keys(fresh):
     # a key nothing reads is a measurement nobody checks
     assert sorted(fresh) == sorted(REQUIRED_KEYS)
+
+
+def test_calibrate_regenerates_a_missing_default_file(tmp_path, monkeypatch, capsys):
+    # the path the missing-file error sends users to: no --out, so the file
+    # goes to FOCKLAB_CALIBRATION, and --verbose logs the six sequences
+    cal = tmp_path / "calibration.txt"
+    monkeypatch.setenv("FOCKLAB_CALIBRATION", str(cal))
+    with pytest.raises(CalibrationError, match="run `focklab calibrate` first"):
+        load_calibration()
+    assert main(["calibrate", "--verbose"]) == 0
+    assert cal.read_bytes() == resources.files("focklab").joinpath("calibration.txt").read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "constant.s1.hermite", "signum.s1.hermite", "chirp43.s1.hermite",
+        "bump.s1.hermite", "chirp43.s1.classical", "bump.s1.classical"]
+    assert all(re.fullmatch(r"[\w.]+: \[[^]]+\] -> last/first \d+\.\d{4}", ln)
+               for ln in lines)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -280,6 +282,20 @@ def test_csv_json_values_agree(tmp_path):
     line = c.read_text().splitlines()[1]
     measured_csv = float(line.split(",")[2])
     assert measured_csv == measured_json  # repr round-trip: exact equality
+
+
+def test_verify_csv_cells_are_plain_values(tmp_path):
+    # numpy scalars print as Python floats, never as np.float64(...)
+    out = tmp_path / "r.csv"
+    assert run_cli("verify", "--seed", "23", "--format", "csv", "--out", str(out)) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == len(CHECK_IDS)
+    assert not any("np." in cell for row in rows for cell in row.values())
+    for row in rows:
+        try:
+            float(row["measured"])
+        except ValueError:
+            json.loads(row["measured"])
 
 
 def test_probe_csv_rows_match_the_json_norms(tmp_path):

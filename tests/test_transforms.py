@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,40 @@ class TestFourier:
     def test_quadrature_needs_scale_one(self, grid2):
         with pytest.raises(GridMismatchError):
             fourier_quadrature(lambda y: np.exp(-y * y), np.array([0.0]), grid2)
+
+
+def _point_evaluator(name: str, n: int):
+    """One of the three point evaluators in dimension n, as a function of the
+    points alone."""
+    def one(y):
+        return np.ones(len(y))
+
+    if name == "synthesize":
+        v = random_vector(n, 4, Convention.BARGMANN_H, 0)
+        return lambda p: synthesize(v, p)
+    if name == "fourier_quadrature":
+        return lambda p: fourier_quadrature(one, p, gauss_hermite(12, 1.0, n))
+    return lambda p: bargmann_quadrature(one, p, gauss_hermite(12, 2.0, n))
+
+
+@pytest.mark.parametrize("name", ["synthesize", "fourier_quadrature", "bargmann_quadrature"])
+def test_one_point_layout(name):
+    # a point set is (npts, n), or (npts,) for n = 1; one point is (n,), or a
+    # scalar for n = 1; any other shape is refused by name
+    f1, f2 = _point_evaluator(name, 1), _point_evaluator(name, 2)
+    pts = np.array([0.3, -0.5, 1.1])
+    want = f1(pts)
+    assert want.shape == (3,)
+    assert np.array_equal(f1(pts[:, None]), want)
+    assert np.ndim(f1(pts[1])) == 0 and f1(pts[1]) == pytest.approx(want[1], rel=1e-14)
+    pts2 = np.array([[0.3, 0.2], [-0.5, 0.1]])
+    want2 = f2(pts2)
+    assert want2.shape == (2,)
+    assert np.ndim(f2(pts2[1])) == 0 and f2(pts2[1]) == pytest.approx(want2[1], rel=1e-14)
+    for f, bad in ((f1, np.zeros((2, 3))), (f1, np.zeros((2, 1, 1))),
+                   (f2, np.zeros(3)), (f2, np.zeros((2, 3)))):
+        with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}")):
+            f(bad)
 
 
 class TestFockMap:
